@@ -2,7 +2,8 @@
 //! ISORC'15, as adapted by the paper).
 //!
 //! For every mapping segment the algorithm (a) runs a subgradient method
-//! (bounded at 100 iterations, as in the paper) on the Lagrangian relaxation
+//! (bounded at 100 iterations, as in the paper, and stopped once the
+//! multipliers reach a fixed point) on the Lagrangian relaxation
 //! of the per-segment MMKP — multipliers `u ≥ 0` price the per-type core
 //! constraint — then (b) greedily maps jobs in increasing order of their
 //! minimum Lagrangian configuration cost `ξ·ρ + u·θ`. A configuration is
@@ -15,7 +16,7 @@
 
 use amrm_core::{Scheduler, SchedulingContext};
 use amrm_model::{Job, JobMapping, JobSet, Schedule, Segment};
-use amrm_platform::{Platform, ResourceVec, EPS};
+use amrm_platform::{Platform, EPS};
 
 /// Remaining ratio below which a job counts as finished.
 const RHO_EPS: f64 = 1e-9;
@@ -118,6 +119,9 @@ impl Scheduler for MmkpLr {
             .collect();
         let mut t = now;
         let mut schedule = Schedule::new();
+        let mut table = OptionTable::default();
+        let mut cost = Vec::new();
+        let mut sorted: Vec<usize> = Vec::new();
 
         while !pending.is_empty() {
             // Viability: every remaining job must still be salvageable.
@@ -129,21 +133,23 @@ impl Scheduler for MmkpLr {
             }
 
             // (a) Subgradient on the per-segment relaxation.
-            let u = self.subgradient(job_slice, &pending, &options, platform, t, &fastest);
+            table.fill(job_slice, &pending, &options, t, &fastest, platform);
+            let u = self.subgradient(&table, platform);
 
-            // (b) Greedy mapping in increasing order of minimum cost.
+            // (b) Greedy mapping in increasing order of minimum cost, with
+            // every option priced once under the final multipliers.
+            cost.clear();
+            cost.extend((0..table.len()).map(|e| table.cost(e, &u)));
+            let min_cost: Vec<f64> = (0..table.jobs())
+                .map(|pi| {
+                    cost[table.entries(pi)]
+                        .iter()
+                        .copied()
+                        .fold(f64::INFINITY, f64::min)
+                })
+                .collect();
             let mut order: Vec<usize> = (0..pending.len()).collect();
-            let min_cost = |p: &Pending| -> f64 {
-                options[p.idx]
-                    .iter()
-                    .map(|&j| lagr_cost(&job_slice[p.idx], j, p.rho, &u))
-                    .fold(f64::INFINITY, f64::min)
-            };
-            order.sort_by(|&a, &b| {
-                min_cost(&pending[a])
-                    .total_cmp(&min_cost(&pending[b]))
-                    .then(a.cmp(&b))
-            });
+            order.sort_by(|&a, &b| min_cost[a].total_cmp(&min_cost[b]).then(a.cmp(&b)));
 
             let mut free = platform.counts().clone();
             let mut chosen: Vec<Option<usize>> = vec![None; pending.len()];
@@ -152,11 +158,12 @@ impl Scheduler for MmkpLr {
             for &pi in &order {
                 let p = &pending[pi];
                 let job = &job_slice[p.idx];
-                let mut sorted = options[p.idx].clone();
-                sorted.sort_by(|&a, &b| {
-                    lagr_cost(job, a, p.rho, &u).total_cmp(&lagr_cost(job, b, p.rho, &u))
-                });
-                for j in sorted {
+                sorted.clear();
+                sorted.extend(table.entries(pi));
+                // Stable: equal costs keep the job's option order.
+                sorted.sort_by(|&a, &b| cost[a].total_cmp(&cost[b]));
+                for &e in &sorted {
+                    let j = table.point[e];
                     let point = job.point(j);
                     if !point.resources().fits_within(&free) {
                         continue;
@@ -185,9 +192,23 @@ impl Scheduler for MmkpLr {
                 return None; // nothing could be mapped: no progress possible
             }
 
+            // At large clocks a remaining run time can fall below the float
+            // resolution of `t`, so the earliest completion does not advance
+            // the clock. Such a job is numerically complete (and on time, by
+            // the viability check): retire it and push no empty segment.
+            if tentative_end <= t {
+                let mut pi = 0;
+                pending.retain(|p| {
+                    let done = chosen[pi]
+                        .is_some_and(|j| t + job_slice[p.idx].point(j).time() * p.rho <= t);
+                    pi += 1;
+                    !done
+                });
+                continue;
+            }
+
             // Build the segment up to the earliest completion.
             let delta = tentative_end - t;
-            debug_assert!(delta > 0.0);
             let mut mappings = Vec::new();
             for (pi, c) in chosen.iter().enumerate() {
                 if let Some(j) = c {
@@ -219,75 +240,144 @@ impl Scheduler for MmkpLr {
     }
 }
 
-/// Lagrangian cost of point `j` for a job with remaining ratio `rho`.
-fn lagr_cost(job: &Job, j: usize, rho: f64, u: &[f64]) -> f64 {
-    let p = job.point(j);
-    let penalty: f64 = p
-        .resources()
-        .iter()
-        .zip(u)
-        .map(|(theta, ui)| f64::from(theta) * ui)
-        .sum();
-    p.energy() * rho + penalty
+/// The options of one segment's pending jobs in one flat table, so that
+/// pricing an option reads contiguous memory. Entry `e` is point
+/// `point[e]` of its job, with energy term `energy_rho[e] = ξ·ρ` and core
+/// vector `θ` at `theta[e·m..(e+1)·m]`; pending job `pi` owns the entries
+/// `start[pi]..start[pi + 1]`, in the order of its options.
+#[derive(Debug, Default)]
+struct OptionTable {
+    m: usize,
+    start: Vec<usize>,
+    point: Vec<usize>,
+    energy_rho: Vec<f64>,
+    theta: Vec<f64>,
+    /// Deadline-plausible: the relaxation only prices these.
+    plausible: Vec<bool>,
+}
+
+impl OptionTable {
+    /// Refills the table for the pending jobs of the segment starting
+    /// at `t`.
+    fn fill(
+        &mut self,
+        jobs: &[Job],
+        pending: &[Pending],
+        options: &[Vec<usize>],
+        t: f64,
+        fastest: &[f64],
+        platform: &Platform,
+    ) {
+        self.m = platform.num_types();
+        self.start.clear();
+        self.point.clear();
+        self.energy_rho.clear();
+        self.theta.clear();
+        self.plausible.clear();
+        for p in pending {
+            let job = &jobs[p.idx];
+            self.start.push(self.point.len());
+            for &j in &options[p.idx] {
+                let point = job.point(j);
+                let completion = t + point.time() * p.rho;
+                self.point.push(j);
+                self.energy_rho.push(point.energy() * p.rho);
+                self.theta.extend(point.resources().iter().map(f64::from));
+                self.plausible.push(
+                    completion <= job.deadline() + EPS
+                        || t + fastest[p.idx] * p.rho <= job.deadline() + EPS,
+                );
+            }
+        }
+        self.start.push(self.point.len());
+    }
+
+    /// Number of entries.
+    fn len(&self) -> usize {
+        self.point.len()
+    }
+
+    /// Number of pending jobs.
+    fn jobs(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    /// The entries of pending job `pi`.
+    fn entries(&self, pi: usize) -> std::ops::Range<usize> {
+        self.start[pi]..self.start[pi + 1]
+    }
+
+    /// Core vector of entry `e`.
+    fn theta(&self, e: usize) -> &[f64] {
+        &self.theta[e * self.m..(e + 1) * self.m]
+    }
+
+    /// Lagrangian cost `ξ·ρ + u·θ` of entry `e`.
+    fn cost(&self, e: usize, u: &[f64]) -> f64 {
+        let penalty: f64 = self
+            .theta(e)
+            .iter()
+            .zip(u)
+            .map(|(theta, ui)| theta * ui)
+            .sum();
+        self.energy_rho[e] + penalty
+    }
 }
 
 impl MmkpLr {
     /// Runs the subgradient method on the relaxed per-segment MMKP and
     /// returns the final multipliers.
-    fn subgradient(
-        &self,
-        jobs: &[Job],
-        pending: &[Pending],
-        options: &[Vec<usize>],
-        platform: &Platform,
-        t: f64,
-        fastest: &[f64],
-    ) -> Vec<f64> {
+    fn subgradient(&self, table: &OptionTable, platform: &Platform) -> Vec<f64> {
         let m = platform.num_types();
         let mut u = vec![0.0; m];
         // Scale: average remaining energy per core, so steps are unit-sane.
-        let scale = pending
-            .iter()
-            .map(|p| {
-                options[p.idx]
+        let scale = (0..table.jobs())
+            .map(|pi| {
+                table.energy_rho[table.entries(pi)]
                     .iter()
-                    .map(|&j| jobs[p.idx].point(j).energy() * p.rho)
+                    .copied()
                     .fold(f64::INFINITY, f64::min)
             })
             .sum::<f64>()
             .max(1e-6)
             / f64::from(platform.total_cores());
 
+        let mut demand = vec![0.0; m];
         for iter in 0..self.max_iterations {
-            // Relaxed per-group argmin with current prices.
-            let mut demand = ResourceVec::zeros(m);
-            for p in pending {
-                let job = &jobs[p.idx];
-                let best = options[p.idx]
-                    .iter()
-                    .copied()
-                    .filter(|&j| {
-                        // Deadline-plausible points only.
-                        let completion = t + job.point(j).time() * p.rho;
-                        completion <= job.deadline() + EPS
-                            || t + fastest[p.idx] * p.rho <= job.deadline() + EPS
-                    })
-                    .min_by(|&a, &b| {
-                        lagr_cost(job, a, p.rho, &u).total_cmp(&lagr_cost(job, b, p.rho, &u))
-                    });
-                if let Some(j) = best {
-                    demand += job.point(j).resources();
+            // Relaxed per-group argmin with current prices: the first
+            // strict minimum among the plausible options.
+            demand.fill(0.0);
+            for pi in 0..table.jobs() {
+                let mut best: Option<(usize, f64)> = None;
+                for e in table.entries(pi).filter(|&e| table.plausible[e]) {
+                    let c = table.cost(e, &u);
+                    if best.is_none_or(|(_, b)| c.total_cmp(&b).is_lt()) {
+                        best = Some((e, c));
+                    }
+                }
+                if let Some((e, _)) = best {
+                    for (d, theta) in demand.iter_mut().zip(table.theta(e)) {
+                        *d += theta;
+                    }
                 }
             }
-            // Subgradient g = demand − Θ. The paper bounds the method at
-            // 100 iterations and we always run the full budget (a diminish-
-            // ing step size needs the iterations to converge); this is also
-            // what makes MMKP-LR an order of magnitude slower than MMKP-MDF
-            // in Fig. 4.
+            // Subgradient g = demand − Θ, with a diminishing step. The
+            // paper bounds the method at 100 iterations, but the argmin
+            // depends only on `u`: once an update leaves every `u[k]`
+            // bit-for-bit unchanged, the next one sees the same demand with
+            // a step no larger, and by monotone rounding cannot move `u`
+            // either. Stopping there returns the multipliers the full
+            // budget would.
             let step = scale / (iter as f64 + 1.0);
+            let mut moved = false;
             for k in 0..m {
-                let g = f64::from(demand[k]) - f64::from(platform.counts()[k]);
-                u[k] = (u[k] + step * g).max(0.0);
+                let g = demand[k] - f64::from(platform.counts()[k]);
+                let next = (u[k] + step * g).max(0.0);
+                moved |= next.to_bits() != u[k].to_bits();
+                u[k] = next;
+            }
+            if !moved {
+                break;
             }
         }
         u
@@ -314,6 +404,24 @@ mod tests {
         let schedule = MmkpLr::new().schedule_at(&jobs, &platform, 0.0).unwrap();
         schedule.validate(&jobs, &platform, 0.0).unwrap();
         assert!((schedule.energy(&jobs) - 8.9).abs() < 1e-6);
+    }
+
+    #[test]
+    fn remainder_below_clock_resolution_is_retired_without_a_segment() {
+        // 5.3 s × 1.1e-9 is far below the spacing of f64 at 1e9 s, so
+        // the job's completion does not advance the clock.
+        let now = 1e9;
+        let jobs = JobSet::new(vec![Job::new(
+            JobId(1),
+            scenarios::lambda1(),
+            0.0,
+            now + 10.0,
+            1.1e-9,
+        )]);
+        let platform = scenarios::platform();
+        let schedule = MmkpLr::new().schedule_at(&jobs, &platform, now).unwrap();
+        assert!(schedule.is_empty());
+        schedule.validate(&jobs, &platform, now).unwrap();
     }
 
     #[test]

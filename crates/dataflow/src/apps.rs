@@ -186,6 +186,42 @@ mod tests {
         }
     }
 
+    /// FNV-1a over every point's time and energy bits and its resources.
+    fn table_digest(apps: &[AppRef]) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for app in apps {
+            for p in app.points() {
+                eat(&p.time().to_bits().to_le_bytes());
+                eat(&p.energy().to_bits().to_le_bytes());
+                for n in p.resources().iter() {
+                    eat(&n.to_le_bytes());
+                }
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn characterized_tables_are_pinned_bit_for_bit() {
+        // Recorded with the per-firing simulation that scanned every
+        // channel for predecessors; any change to the simulated times or
+        // energies moves these digests.
+        let suite = benchmark_suite(&Platform::odroid_xu4());
+        assert_eq!(table_digest(&suite), 0xf10c_53f3_c7cd_8b38);
+        let config = CharacterizeConfig::default();
+        let dvfs: Vec<AppRef> = all_graphs()
+            .iter()
+            .map(|g| crate::characterize_dvfs(g, &crate::odroid_xu4_dvfs(), &config))
+            .collect();
+        assert_eq!(table_digest(&dvfs), 0x49af_9b4f_d0ee_7743);
+    }
+
     #[test]
     fn suite_point_counts_are_in_paper_ballpark() {
         // The paper reports 28–36 Pareto configurations per application

@@ -9,7 +9,7 @@
 use amrm_model::{pareto_filter, AppRef, Application, OperatingPoint};
 use amrm_platform::{Platform, ResourceVec};
 
-use crate::{simulate, DataflowGraph, SimConfig};
+use crate::{place, simulate_with_placement, DataflowGraph, SimConfig};
 
 /// Characterization options.
 #[derive(Debug, Clone, Copy, Default)]
@@ -70,12 +70,16 @@ pub fn characterize(
     platform: &Platform,
     config: &CharacterizeConfig,
 ) -> AppRef {
+    let topo = graph
+        .topological_order()
+        .expect("dataflow graph must be acyclic");
     let mut points = Vec::new();
     for alloc in all_allocations(platform) {
         if !config.include_oversized && alloc.total() as usize > graph.num_processes() {
             continue;
         }
-        let r = simulate(graph, platform, &alloc, &config.sim);
+        let placement = place(graph, platform, &alloc);
+        let r = simulate_with_placement(graph, platform, &alloc, &placement, &topo, &config.sim);
         points.push(OperatingPoint::new(alloc, r.makespan, r.energy));
     }
     Application::shared(graph.name(), pareto_filter(points))

@@ -10,7 +10,7 @@
 use amrm_model::{pareto_filter, AppRef, Application, OperatingPoint};
 use amrm_platform::{CoreType, FrequencyLevel, Platform, PlatformBuilder};
 
-use crate::{all_allocations, simulate, CharacterizeConfig, DataflowGraph};
+use crate::{all_allocations, place, simulate_with_placement, CharacterizeConfig, DataflowGraph};
 
 /// An Odroid-XU4-like platform with three DVFS levels per cluster.
 ///
@@ -83,13 +83,18 @@ pub fn characterize_dvfs(
     platform: &Platform,
     config: &CharacterizeConfig,
 ) -> AppRef {
+    let topo = graph
+        .topological_order()
+        .expect("dataflow graph must be acyclic");
     let mut points = Vec::new();
     for variant in frequency_variants(platform) {
         for alloc in all_allocations(&variant) {
             if !config.include_oversized && alloc.total() as usize > graph.num_processes() {
                 continue;
             }
-            let r = simulate(graph, &variant, &alloc, &config.sim);
+            let placement = place(graph, &variant, &alloc);
+            let r =
+                simulate_with_placement(graph, &variant, &alloc, &placement, &topo, &config.sim);
             points.push(OperatingPoint::new(alloc, r.makespan, r.energy));
         }
     }

@@ -140,32 +140,47 @@ pub fn simulate_with_placement(
         .map(|&k| platform.core_type(k).effective_rate_hz())
         .collect();
 
-    let n = graph.num_processes();
+    // Firing table in `topo` order: each process's core, its execution
+    // time, and the range of its input channels in `inputs`, stored as
+    // (source, delay) pairs with a delay of 0.0 when both ends share a
+    // core.
+    let mut firings = Vec::with_capacity(topo.len());
+    let mut inputs: Vec<(usize, f64)> = Vec::new();
+    for &p in topo {
+        let core = placement[p.0];
+        let first = inputs.len();
+        for ch in graph.predecessors(p) {
+            let delay = if placement[ch.src.0] == core {
+                0.0
+            } else {
+                config.channel_latency + ch.bytes / config.channel_bandwidth
+            };
+            inputs.push((ch.src.0, delay));
+        }
+        let exec = graph.processes()[p.0].work_cycles() / rates[core];
+        firings.push((p.0, core, exec, first, inputs.len()));
+    }
+
     let mut core_free = vec![0.0f64; cores.len()];
     let mut busy = vec![0.0f64; cores.len()];
-    let mut finish_prev = vec![0.0f64; n]; // finish of each process's previous firing
-    let mut finish_cur = vec![0.0f64; n];
+    // Finish time of each process's latest firing: a process's own slot
+    // holds its previous iteration until it fires, its predecessors' slots
+    // already hold the current one.
+    let mut finish = vec![0.0f64; graph.num_processes()];
 
     let mut makespan: f64 = 0.0;
     for _iter in 0..config.iterations {
-        for &p in topo {
-            let core = placement[p.0];
-            let mut ready = finish_prev[p.0].max(core_free[core]);
-            for ch in graph.predecessors(p) {
-                let mut arrival = finish_cur[ch.src.0];
-                if placement[ch.src.0] != core {
-                    arrival += config.channel_latency + ch.bytes / config.channel_bandwidth;
-                }
-                ready = ready.max(arrival);
+        for &(p, core, exec, first, last) in &firings {
+            let mut ready = finish[p].max(core_free[core]);
+            for &(src, delay) in &inputs[first..last] {
+                ready = ready.max(finish[src] + delay);
             }
-            let exec = graph.processes()[p.0].work_cycles() / rates[core];
             let end = ready + exec;
-            finish_cur[p.0] = end;
+            finish[p] = end;
             core_free[core] = end;
             busy[core] += exec;
             makespan = makespan.max(end);
         }
-        finish_prev.copy_from_slice(&finish_cur);
     }
 
     let mut energy = 0.0;

@@ -364,9 +364,11 @@ impl Schedule {
                     required: job.remaining(),
                 });
             }
-            let completion = self
-                .completion_time(job.id())
-                .expect("progress > 0 implies at least one segment");
+            // An unmapped job passed the progress check only with remaining
+            // work within PROGRESS_TOL: it is already complete.
+            let Some(completion) = self.completion_time(job.id()) else {
+                continue;
+            };
             if completion > job.deadline() + EPS {
                 return Err(ScheduleError::DeadlineMiss {
                     job: job.id(),
@@ -487,6 +489,13 @@ mod tests {
             Err(ScheduleError::DeadlineMiss { job, .. }) => assert_eq!(job, JobId(1)),
             other => panic!("expected deadline miss, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn unmapped_job_within_progress_tolerance_is_complete() {
+        let jobs = JobSet::new(vec![Job::new(JobId(1), lambda1(), 0.0, 20.0, 1e-9)]);
+        let platform = Platform::motivational_2l2b();
+        Schedule::new().validate(&jobs, &platform, 0.0).unwrap();
     }
 
     #[test]
