@@ -1,9 +1,10 @@
 //! Smoke tests of the `repro profile` harness with the counting global
 //! allocator installed: the fast test pins the counter wiring and the
 //! allocation accounting; the ignored release-only test streams a
-//! million requests through MMKP-MDF and asserts the wall-clock and
-//! peak-memory bounds of the lazy kernel (run it with
-//! `cargo test --release -p amrm-bench --test profile_smoke -- --ignored`).
+//! million requests through MMKP-MDF and asserts the wall-clock,
+//! peak-memory and allocations-per-request bounds of the lazy kernel (run
+//! it with `cargo test --release -p amrm-bench --test profile_smoke --
+//! --ignored`).
 
 use amrm_baselines::MDF_NAME;
 use amrm_bench::profile::{run_profile, run_profile_with};
@@ -55,6 +56,15 @@ fn million_request_stream_completes_within_bounds() {
         cell.wall_seconds < 120.0,
         "1M-request MDF profile took {:.1} s (> 120 s bound)",
         cell.wall_seconds
+    );
+    // Allocation bound: MMKP-MDF packs on reusable buffers, so a request
+    // costs a few allocations (3.4 at 1M requests). Per-trial assignment
+    // clones and per-point capacity vectors cost ~80 per request; this
+    // bound catches such a revert on any host, unlike a throughput floor.
+    let calls_per_request = cell.allocation_calls as f64 / requests as f64;
+    assert!(
+        calls_per_request <= 20.0,
+        "{calls_per_request:.1} allocations per request on the MDF cell (> 20)"
     );
     // Peak memory bound: the pulled requests/decisions are the only
     // O(requests) state (~50 MiB at 1M); 512 MiB catches any

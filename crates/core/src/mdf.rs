@@ -6,17 +6,26 @@
 //! operating points form a group of items weighted by `θ · τ · ρ`. Jobs are
 //! picked by Maximum-Difference-First and packed with
 //! [`schedule_jobs`](crate::schedule_jobs) (Algorithm 2).
+//!
+//! [`MmkpLoop`] runs the algorithm on job positions: the assignment is one
+//! optional configuration per position, each trial sets the chosen job's
+//! slot and re-packs the whole assignment with the positional packer, and
+//! the EDF order, the containers and the candidate configuration lists live
+//! in buffers that persist across activations. The same loop drives the
+//! ablation variants, which differ only in how the next job is chosen
+//! ([`JobOrderPolicy`]).
 
-use std::collections::HashMap;
+use amrm_model::{Job, JobSet, Schedule};
+use amrm_platform::{Platform, EPS};
 
-use amrm_model::{Job, JobId, JobSet, Schedule};
-use amrm_platform::{CapacityVec, Platform, EPS};
-
-use crate::{schedule_jobs, Scheduler, SchedulingContext};
+use crate::schedule_jobs::{edf_order, Packer};
+use crate::{JobOrderPolicy, Scheduler, SchedulingContext};
 
 /// The MMKP-MDF scheduler.
 ///
-/// Stateless; one instance can be reused across RM activations.
+/// Holds only scratch buffers that every call starts by resetting, so it
+/// is effectively stateless and one instance can be reused across RM
+/// activations.
 ///
 /// # Examples
 ///
@@ -34,9 +43,9 @@ use crate::{schedule_jobs, Scheduler, SchedulingContext};
 /// let rho1 = 1.0 - 1.0 / 5.3;
 /// assert!((schedule.energy(&jobs) - (5.73 + 8.9 * rho1)).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct MmkpMdf {
-    _priv: (),
+    mmkp: MmkpLoop,
 }
 
 impl MmkpMdf {
@@ -44,71 +53,6 @@ impl MmkpMdf {
     pub fn new() -> Self {
         MmkpMdf::default()
     }
-}
-
-/// Result of the configuration filtering inside `NEXTJOBMDF`: the indices
-/// of feasible points sorted by non-decreasing remaining energy.
-pub(crate) fn feasible_configs(
-    job: &Job,
-    containers: &CapacityVec,
-    platform: &Platform,
-    now: f64,
-) -> Vec<usize> {
-    let mut list: Vec<usize> = (0..job.app().num_points())
-        .filter(|&j| {
-            let p = job.point(j);
-            // (i) the point can meet the deadline when started now;
-            // (ii) the platform has enough cores of each type;
-            // (iii) the work θ·τ·ρ fits the remaining containers J.
-            job.meets_deadline_with(j, now)
-                && p.resources().fits_within(platform.counts())
-                && p.resources()
-                    .scale(p.time() * job.remaining())
-                    .fits_within(containers)
-        })
-        .collect();
-    list.sort_by(|&a, &b| {
-        job.remaining_energy(a)
-            .total_cmp(&job.remaining_energy(b))
-            .then(a.cmp(&b))
-    });
-    list
-}
-
-/// `NEXTJOBMDF`: picks the unmapped job whose best feasible point beats its
-/// second best by the largest remaining-energy margin (Maximum Difference
-/// First). A job with a single feasible point has infinite margin; a job
-/// with none makes the whole activation infeasible (`None`).
-fn next_job_mdf(
-    jobs: &JobSet,
-    assigned: &HashMap<JobId, usize>,
-    containers: &CapacityVec,
-    platform: &Platform,
-    now: f64,
-) -> Option<(JobId, Vec<usize>)> {
-    let mut best: Option<(f64, JobId, Vec<usize>)> = None;
-    for job in jobs.iter() {
-        if assigned.contains_key(&job.id()) {
-            continue;
-        }
-        let cl = feasible_configs(job, containers, platform, now);
-        if cl.is_empty() {
-            return None; // some job can no longer be scheduled at all
-        }
-        let diff = if cl.len() >= 2 {
-            job.remaining_energy(cl[1]) - job.remaining_energy(cl[0])
-        } else {
-            f64::INFINITY
-        };
-        let replace = match &best {
-            None => true,
-            Some((d, id, _)) => diff > *d + EPS || (diff >= *d - EPS && job.id() < *id),
-        };
-        if replace {
-            best = Some((diff, job.id(), cl));
-        }
-    }
-    best.map(|(_, id, cl)| (id, cl))
 }
 
 impl Scheduler for MmkpMdf {
@@ -122,56 +66,178 @@ impl Scheduler for MmkpMdf {
         platform: &Platform,
         ctx: &SchedulingContext,
     ) -> Option<Schedule> {
+        self.mmkp
+            .run(JobOrderPolicy::MaxDifference, jobs, platform, ctx.now)
+    }
+}
+
+/// The outer loop of Algorithm 1 with its buffers, reused across calls.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct MmkpLoop {
+    /// Containers `J`: remaining core-seconds per core type.
+    containers: Vec<f64>,
+    /// The configuration of each job position, committed or on trial;
+    /// `None` while unmapped.
+    assignment: Vec<Option<usize>>,
+    /// Job positions in EDF order, for the packer.
+    edf: Vec<usize>,
+    /// Feasible configurations of the job being examined.
+    candidate: Vec<usize>,
+    /// Feasible configurations of the job picked so far, cheapest first.
+    chosen: Vec<usize>,
+    packer: Packer,
+}
+
+impl MmkpLoop {
+    /// Runs Algorithm 1 at time `now`, picking jobs by `policy`.
+    pub(crate) fn run(
+        &mut self,
+        policy: JobOrderPolicy,
+        jobs: &JobSet,
+        platform: &Platform,
+        now: f64,
+    ) -> Option<Schedule> {
         if jobs.is_empty() {
             return Some(Schedule::new());
         }
-        let now = ctx.now;
         let horizon = jobs.max_deadline().expect("non-empty") - now;
         if horizon <= 0.0 {
             return None;
         }
+        let jobs = jobs.jobs();
         // Line 1: containers hold processing time per core type.
-        let mut containers = platform.counts().scale(horizon);
+        self.containers.clear();
+        self.containers
+            .extend(platform.counts().iter().map(|c| f64::from(c) * horizon));
         // Line 2: no configuration chosen yet.
-        let mut assigned: HashMap<JobId, usize> = HashMap::new();
-        let mut schedule = Schedule::new();
+        self.assignment.clear();
+        self.assignment.resize(jobs.len(), None);
+        edf_order(jobs, &mut self.edf);
 
         // Line 3: iterate until every job has a configuration.
-        while assigned.len() < jobs.len() {
-            // Line 4: MDF job selection with filtered config list.
-            let (target, mut cl) = next_job_mdf(jobs, &assigned, &containers, platform, now)?;
-            let job = jobs.get(target).expect("selected from the set");
+        for _ in 0..jobs.len() {
+            // Line 4: job selection with filtered config list.
+            let target = self.next_job(policy, jobs, platform, now)?;
+            let job = &jobs[target];
 
             // Lines 5–14: try configs in non-decreasing energy order.
-            let mut placed = false;
-            while !cl.is_empty() {
-                let j_star = cl.remove(0); // argmin energy (list is sorted)
-                let mut trial = assigned.clone();
-                trial.insert(target, j_star);
-                if let Some(built) = schedule_jobs(jobs, &trial, platform, now) {
-                    // Lines 11–12: commit and charge the containers.
-                    let p = job.point(j_star);
-                    containers.consume(&p.resources().scale(p.time() * job.remaining()));
-                    assigned = trial;
-                    schedule = built;
-                    placed = true;
+            let mut placed = None;
+            for &j in &self.chosen {
+                self.assignment[target] = Some(j);
+                if self
+                    .packer
+                    .pack(jobs, &self.edf, &self.assignment, platform, now)
+                {
+                    placed = Some(j);
                     break;
                 }
             }
-            if !placed {
+            let Some(j_star) = placed else {
                 return None; // line 6
+            };
+            // Lines 11–12: charge the containers.
+            let p = job.point(j_star);
+            let work = p.time() * job.remaining();
+            for (c, theta) in self.containers.iter_mut().zip(p.resources().iter()) {
+                *c = (*c - f64::from(theta) * work).max(0.0);
             }
         }
-        Some(schedule)
+        // The last successful pack was the complete assignment.
+        Some(self.packer.schedule())
     }
+
+    /// `NEXTJOB`: scans the unmapped jobs in job-set order and returns the
+    /// position `policy` prefers, with its feasible configurations left in
+    /// `chosen`. A job with no feasible configuration makes the whole
+    /// activation infeasible (`None`).
+    fn next_job(
+        &mut self,
+        policy: JobOrderPolicy,
+        jobs: &[Job],
+        platform: &Platform,
+        now: f64,
+    ) -> Option<usize> {
+        let mut best: Option<(f64, usize)> = None;
+        for (pos, job) in jobs.iter().enumerate() {
+            if self.assignment[pos].is_some() {
+                continue;
+            }
+            feasible_configs(job, &self.containers, platform, now, &mut self.candidate);
+            if self.candidate.is_empty() {
+                return None; // some job can no longer be scheduled at all
+            }
+            let key = policy.key(job, &self.candidate);
+            let replace = match best {
+                None => true,
+                Some((best_key, best_pos)) => {
+                    policy.prefers((key, job.id()), (best_key, jobs[best_pos].id()))
+                }
+            };
+            if replace {
+                best = Some((key, pos));
+                std::mem::swap(&mut self.candidate, &mut self.chosen);
+            }
+        }
+        best.map(|(_, pos)| pos)
+    }
+}
+
+/// The configuration filtering inside `NEXTJOBMDF`: fills `out` with the
+/// indices of `job`'s feasible points sorted by non-decreasing remaining
+/// energy.
+fn feasible_configs(
+    job: &Job,
+    containers: &[f64],
+    platform: &Platform,
+    now: f64,
+    out: &mut Vec<usize>,
+) {
+    out.clear();
+    out.extend((0..job.app().num_points()).filter(|&j| {
+        let p = job.point(j);
+        let work = p.time() * job.remaining();
+        // (i) the point can meet the deadline when started now;
+        // (ii) the platform has enough cores of each type;
+        // (iii) the work θ·τ·ρ fits the remaining containers J.
+        job.meets_deadline_with(j, now)
+            && p.resources().fits_within(platform.counts())
+            && p.resources()
+                .iter()
+                .zip(containers)
+                .all(|(theta, &c)| f64::from(theta) * work <= c + EPS)
+    }));
+    // Indices break ties, so the order is total and an unstable sort is
+    // exact.
+    out.sort_unstable_by(|&a, &b| {
+        job.remaining_energy(a)
+            .total_cmp(&job.remaining_energy(b))
+            .then(a.cmp(&b))
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amrm_model::{Application, Job, JobSet, OperatingPoint};
+    use amrm_model::{Application, Job, JobId, JobSet, OperatingPoint};
     use amrm_platform::ResourceVec;
     use amrm_workload::scenarios;
+
+    /// `NEXTJOBMDF` on a fresh loop with no job mapped yet and the given
+    /// containers: the picked job's id and its feasible configurations.
+    fn next_job_mdf(
+        jobs: &JobSet,
+        containers: &[f64],
+        platform: &Platform,
+        now: f64,
+    ) -> Option<(JobId, Vec<usize>)> {
+        let mut mmkp = MmkpLoop {
+            containers: containers.to_vec(),
+            assignment: vec![None; jobs.len()],
+            ..MmkpLoop::default()
+        };
+        let pos = mmkp.next_job(JobOrderPolicy::MaxDifference, jobs.jobs(), platform, now)?;
+        Some((jobs.jobs()[pos].id(), mmkp.chosen))
+    }
 
     #[test]
     fn single_job_gets_cheapest_deadline_feasible_point() {
@@ -274,6 +340,18 @@ mod tests {
     }
 
     #[test]
+    fn split_point_rounding_onto_the_segment_end_stays_feasible() {
+        let platform = amrm_platform::Platform::motivational_2l2b();
+        for now in [1e8, 1e9] {
+            let jobs = crate::schedule_jobs::tests::sub_ulp_jobs(now);
+            let schedule = MmkpMdf::new()
+                .schedule_at(&jobs, &platform, now)
+                .expect("both jobs meet their deadlines");
+            schedule.validate(&jobs, &platform, now).unwrap();
+        }
+    }
+
+    #[test]
     fn past_deadline_horizon_rejected() {
         let jobs = JobSet::new(vec![Job::new(
             JobId(1),
@@ -306,8 +384,7 @@ mod tests {
         let jobs = scenarios::s1_jobs_at_t1();
         let platform = scenarios::platform();
         let containers = platform.counts().scale(8.0);
-        let (first, cl) =
-            next_job_mdf(&jobs, &HashMap::new(), &containers, &platform, 1.0).unwrap();
+        let (first, cl) = next_job_mdf(&jobs, containers.as_slice(), &platform, 1.0).unwrap();
         assert_eq!(first, JobId(1));
         // Best config of σ1 is 2L1B (index 6).
         assert_eq!(cl[0], 6);
@@ -318,7 +395,6 @@ mod tests {
         // Exhausted containers leave no feasible configs.
         let jobs = scenarios::s1_jobs_at_t1();
         let platform = scenarios::platform();
-        let containers = CapacityVec::zeros(2);
-        assert!(next_job_mdf(&jobs, &HashMap::new(), &containers, &platform, 1.0).is_none());
+        assert!(next_job_mdf(&jobs, &[0.0, 0.0], &platform, 1.0).is_none());
     }
 }

@@ -5,15 +5,15 @@
 //! "the job that would cause the highest degradation if the best point is
 //! not chosen in this iteration". These variants make that claim testable:
 //! swap MDF for a naive order and measure the energy gap (see the
-//! `ablation` report in `amrm-bench`).
+//! `ablation` report in `amrm-bench`). Every variant runs the one MMKP
+//! loop of [`MmkpMdf`](crate::MmkpMdf); only the selection rule below
+//! differs.
 
-use std::collections::HashMap;
+use amrm_model::{Job, JobId, JobSet, Schedule};
+use amrm_platform::{Platform, EPS};
 
-use amrm_model::{JobId, JobSet, Schedule};
-use amrm_platform::Platform;
-
-use crate::mdf::feasible_configs;
-use crate::{schedule_jobs, Scheduler, SchedulingContext};
+use crate::mdf::MmkpLoop;
+use crate::{Scheduler, SchedulingContext};
 
 /// How the next unmapped job is chosen in the Algorithm 1 outer loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -37,6 +37,44 @@ impl JobOrderPolicy {
             JobOrderPolicy::EarliestDeadline => "EDF-order",
             JobOrderPolicy::CheapestFirst => "cheapest-first",
             JobOrderPolicy::InsertionOrder => "insertion-order",
+        }
+    }
+
+    /// The selection key of `job`, whose feasible configurations are
+    /// `configs`, cheapest first (never empty).
+    pub(crate) fn key(self, job: &Job, configs: &[usize]) -> f64 {
+        match self {
+            // Best-vs-second-best margin; a single feasible point has an
+            // infinite one.
+            JobOrderPolicy::MaxDifference => match configs {
+                [best, second, ..] => job.remaining_energy(*second) - job.remaining_energy(*best),
+                _ => f64::INFINITY,
+            },
+            JobOrderPolicy::EarliestDeadline => job.deadline(),
+            JobOrderPolicy::CheapestFirst => job.remaining_energy(configs[0]),
+            JobOrderPolicy::InsertionOrder => 0.0,
+        }
+    }
+
+    /// Does a job with `(key, id)` replace the pick so far? The
+    /// candidates come in job-set order.
+    pub(crate) fn prefers(
+        self,
+        (key, id): (f64, JobId),
+        (best_key, best_id): (f64, JobId),
+    ) -> bool {
+        match self {
+            // The largest margin wins; margins within EPS tie, and ties go
+            // to the smaller id.
+            JobOrderPolicy::MaxDifference => {
+                key > best_key + EPS || (key >= best_key - EPS && id < best_id)
+            }
+            // The smallest key wins; ties go to the smaller id.
+            JobOrderPolicy::EarliestDeadline | JobOrderPolicy::CheapestFirst => {
+                key.total_cmp(&best_key).then(id.cmp(&best_id)).is_lt()
+            }
+            // The first unmapped job wins.
+            JobOrderPolicy::InsertionOrder => false,
         }
     }
 }
@@ -63,15 +101,19 @@ impl JobOrderPolicy {
 /// // The MDF order can only help (here: 12.95 J vs 15.28 J).
 /// assert!(mdf.energy(&jobs) <= naive.energy(&jobs) + 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct MmkpVariant {
     policy: JobOrderPolicy,
+    mmkp: MmkpLoop,
 }
 
 impl MmkpVariant {
     /// Creates a variant with the given job-order policy.
     pub fn new(policy: JobOrderPolicy) -> Self {
-        MmkpVariant { policy }
+        MmkpVariant {
+            policy,
+            mmkp: MmkpLoop::default(),
+        }
     }
 
     /// The configured policy.
@@ -96,91 +138,7 @@ impl Scheduler for MmkpVariant {
         platform: &Platform,
         ctx: &SchedulingContext,
     ) -> Option<Schedule> {
-        if jobs.is_empty() {
-            return Some(Schedule::new());
-        }
-        let now = ctx.now;
-        let horizon = jobs.max_deadline().expect("non-empty") - now;
-        if horizon <= 0.0 {
-            return None;
-        }
-        let mut containers = platform.counts().scale(horizon);
-        let mut assigned: HashMap<JobId, usize> = HashMap::new();
-        let mut schedule = Schedule::new();
-
-        while assigned.len() < jobs.len() {
-            // Gather feasible config lists for all unmapped jobs.
-            let mut pending: Vec<(JobId, Vec<usize>)> = Vec::new();
-            for job in jobs.iter() {
-                if assigned.contains_key(&job.id()) {
-                    continue;
-                }
-                let cl = feasible_configs(job, &containers, platform, now);
-                if cl.is_empty() {
-                    return None;
-                }
-                pending.push((job.id(), cl));
-            }
-
-            // Select the next job per policy.
-            let pick = match self.policy {
-                JobOrderPolicy::MaxDifference => pending
-                    .iter()
-                    .enumerate()
-                    .max_by(|(_, (ia, ca)), (_, (ib, cb))| {
-                        let j = |id: &JobId| jobs.get(*id).expect("known id");
-                        let diff = |id: &JobId, cl: &Vec<usize>| {
-                            if cl.len() >= 2 {
-                                j(id).remaining_energy(cl[1]) - j(id).remaining_energy(cl[0])
-                            } else {
-                                f64::INFINITY
-                            }
-                        };
-                        diff(ia, ca).total_cmp(&diff(ib, cb)).then(ib.cmp(ia)) // smaller id wins ties
-                    })
-                    .map(|(i, _)| i),
-                JobOrderPolicy::EarliestDeadline => pending
-                    .iter()
-                    .enumerate()
-                    .min_by(|(_, (ia, _)), (_, (ib, _))| {
-                        let d = |id: &JobId| jobs.get(*id).expect("known id").deadline();
-                        d(ia).total_cmp(&d(ib)).then(ia.cmp(ib))
-                    })
-                    .map(|(i, _)| i),
-                JobOrderPolicy::CheapestFirst => pending
-                    .iter()
-                    .enumerate()
-                    .min_by(|(_, (ia, ca)), (_, (ib, cb))| {
-                        let e = |id: &JobId, cl: &Vec<usize>| {
-                            jobs.get(*id).expect("known id").remaining_energy(cl[0])
-                        };
-                        e(ia, ca).total_cmp(&e(ib, cb)).then(ia.cmp(ib))
-                    })
-                    .map(|(i, _)| i),
-                JobOrderPolicy::InsertionOrder => Some(0),
-            }?;
-            let (target, mut cl) = pending.swap_remove(pick);
-            let job = jobs.get(target).expect("selected from the set");
-
-            let mut placed = false;
-            while !cl.is_empty() {
-                let j_star = cl.remove(0);
-                let mut trial = assigned.clone();
-                trial.insert(target, j_star);
-                if let Some(built) = schedule_jobs(jobs, &trial, platform, now) {
-                    let p = job.point(j_star);
-                    containers.consume(&p.resources().scale(p.time() * job.remaining()));
-                    assigned = trial;
-                    schedule = built;
-                    placed = true;
-                    break;
-                }
-            }
-            if !placed {
-                return None;
-            }
-        }
-        Some(schedule)
+        self.mmkp.run(self.policy, jobs, platform, ctx.now)
     }
 }
 

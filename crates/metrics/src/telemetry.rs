@@ -65,13 +65,16 @@ impl RingBuffer {
         }
     }
 
-    /// Appends a sample, evicting the oldest once full.
-    pub fn push(&mut self, sample: f64) {
+    /// Appends a sample, evicting the oldest once full; returns the
+    /// evicted sample.
+    pub fn push(&mut self, sample: f64) -> Option<f64> {
         if self.data.len() < self.capacity {
             self.data.push(sample);
+            None
         } else {
-            self.data[self.next] = sample;
+            let evicted = std::mem::replace(&mut self.data[self.next], sample);
             self.next = (self.next + 1) % self.capacity;
+            Some(evicted)
         }
     }
 
@@ -349,9 +352,10 @@ pub struct Telemetry {
     /// [`Telemetry::ACCEPTANCE_WINDOW`] decisions.
     acceptance: RingBuffer,
     queue_wait: RingBuffer,
-    /// Cached queue-wait p95, invalidated on each recorded wait: the
-    /// snapshot is taken on every kernel event, and sorting the sample
-    /// ring there would put an O(n log n) pass on the hot event path.
+    /// Cached queue-wait p95, invalidated whenever a recorded wait changes
+    /// the ring's contents: the snapshot is taken on every kernel event
+    /// and after every flush's waits, and sorting the sample ring there
+    /// would put an O(n log n) pass on the hot event path.
     /// A `Cell` because the lazily recomputed value must be stored from
     /// the `&self` snapshot path (the recorder stays `Send`).
     queue_wait_p95_cache: std::cell::Cell<Option<f64>>,
@@ -461,9 +465,15 @@ impl Telemetry {
     /// Records the simulated queue wait (arrival → flush) of one flushed
     /// request.
     pub fn record_queue_wait(&mut self, wait: f64) {
-        self.queue_wait.push(wait.max(0.0));
-        self.queue_wait_hist.record(wait.max(0.0));
-        self.queue_wait_p95_cache.set(None);
+        let wait = wait.max(0.0);
+        let evicted = self.queue_wait.push(wait);
+        self.queue_wait_hist.record(wait);
+        // A full ring that evicts a sample with the pushed sample's bits
+        // holds the same multiset as before, so the cached p95 still holds
+        // (every wait is 0 under `Immediate` admission).
+        if evicted.map(f64::to_bits) != Some(wait.to_bits()) {
+            self.queue_wait_p95_cache.set(None);
+        }
     }
 
     /// Records the remaining slack (`deadline − now`) of one **admitted**
@@ -590,8 +600,8 @@ impl Telemetry {
     /// 95th-percentile simulated queue wait over the retained samples
     /// (0.0 while the ring is empty). Derived from simulated time only,
     /// so snapshots carrying it keep adaptive consumers deterministic.
-    /// Recomputed only after a new wait sample invalidated the cache —
-    /// snapshots between flushes reuse the cached value.
+    /// Recomputed only after a wait sample changed the ring — snapshots
+    /// between such changes reuse the cached value.
     fn queue_wait_p95(&self) -> f64 {
         if let Some(cached) = self.queue_wait_p95_cache.get() {
             return cached;

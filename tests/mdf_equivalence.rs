@@ -1,0 +1,390 @@
+//! Property tests pinning [`MmkpMdf`], [`MmkpVariant`] and the public
+//! [`schedule_jobs`] against a *frozen* reference copy of the original
+//! Algorithms 1 and 2, which kept the assignment in a `HashMap` cloned for
+//! every trial, built a capacity vector per operating point, and re-summed
+//! each segment's core demand through job-id lookups.
+//!
+//! The production code works on job positions and reusable buffers. None
+//! of that may change a schedule, so the schedules must compare `==` (or
+//! both be `None`):
+//!
+//! - `MmkpMdf` and `MmkpVariant(MaxDifference)` against the reference
+//!   MMKP-MDF;
+//! - the other three job-order policies against the reference ablation
+//!   loop;
+//! - `schedule_jobs` against the reference packer, on random
+//!   configuration maps that leave some jobs unassigned.
+//!
+//! Job sets go up to 8 jobs, with deadlines from infeasible to loose.
+
+use std::collections::HashMap;
+use std::sync::OnceLock;
+
+use amrm::core::{schedule_jobs, JobOrderPolicy, MmkpMdf, MmkpVariant, Scheduler};
+use amrm::dataflow::apps;
+use amrm::model::{AppRef, Job, JobId, JobMapping, JobSet, Schedule, Segment};
+use amrm::platform::{CapacityVec, Platform, EPS};
+use amrm::workload::scenarios;
+use proptest::prelude::*;
+
+/// Frozen copy of the original remaining-ratio threshold of the packer.
+const RHO_EPS: f64 = 1e-12;
+
+/// Frozen copy of the original `feasible_configs`.
+fn reference_feasible_configs(
+    job: &Job,
+    containers: &CapacityVec,
+    platform: &Platform,
+    now: f64,
+) -> Vec<usize> {
+    let mut list: Vec<usize> = (0..job.app().num_points())
+        .filter(|&j| {
+            let p = job.point(j);
+            job.meets_deadline_with(j, now)
+                && p.resources().fits_within(platform.counts())
+                && p.resources()
+                    .scale(p.time() * job.remaining())
+                    .fits_within(containers)
+        })
+        .collect();
+    list.sort_by(|&a, &b| {
+        job.remaining_energy(a)
+            .total_cmp(&job.remaining_energy(b))
+            .then(a.cmp(&b))
+    });
+    list
+}
+
+/// Frozen copy of the original `next_job_mdf`.
+fn reference_next_job_mdf(
+    jobs: &JobSet,
+    assigned: &HashMap<JobId, usize>,
+    containers: &CapacityVec,
+    platform: &Platform,
+    now: f64,
+) -> Option<(JobId, Vec<usize>)> {
+    let mut best: Option<(f64, JobId, Vec<usize>)> = None;
+    for job in jobs.iter() {
+        if assigned.contains_key(&job.id()) {
+            continue;
+        }
+        let cl = reference_feasible_configs(job, containers, platform, now);
+        if cl.is_empty() {
+            return None;
+        }
+        let diff = if cl.len() >= 2 {
+            job.remaining_energy(cl[1]) - job.remaining_energy(cl[0])
+        } else {
+            f64::INFINITY
+        };
+        let replace = match &best {
+            None => true,
+            Some((d, id, _)) => diff > *d + EPS || (diff >= *d - EPS && job.id() < *id),
+        };
+        if replace {
+            best = Some((diff, job.id(), cl));
+        }
+    }
+    best.map(|(_, id, cl)| (id, cl))
+}
+
+/// Frozen copy of the original `MmkpMdf::schedule`.
+fn reference_mdf(jobs: &JobSet, platform: &Platform, now: f64) -> Option<Schedule> {
+    if jobs.is_empty() {
+        return Some(Schedule::new());
+    }
+    let horizon = jobs.max_deadline().expect("non-empty") - now;
+    if horizon <= 0.0 {
+        return None;
+    }
+    let mut containers = platform.counts().scale(horizon);
+    let mut assigned: HashMap<JobId, usize> = HashMap::new();
+    let mut schedule = Schedule::new();
+    while assigned.len() < jobs.len() {
+        let (target, mut cl) = reference_next_job_mdf(jobs, &assigned, &containers, platform, now)?;
+        let job = jobs.get(target).expect("selected from the set");
+        let mut placed = false;
+        while !cl.is_empty() {
+            let j_star = cl.remove(0);
+            let mut trial = assigned.clone();
+            trial.insert(target, j_star);
+            if let Some(built) = reference_schedule_jobs(jobs, &trial, platform, now) {
+                let p = job.point(j_star);
+                containers.consume(&p.resources().scale(p.time() * job.remaining()));
+                assigned = trial;
+                schedule = built;
+                placed = true;
+                break;
+            }
+        }
+        if !placed {
+            return None;
+        }
+    }
+    Some(schedule)
+}
+
+/// Frozen copy of the original `MmkpVariant::schedule`, the ablation loop,
+/// for the three policies other than Maximum-Difference-First.
+fn reference_variant(
+    policy: JobOrderPolicy,
+    jobs: &JobSet,
+    platform: &Platform,
+    now: f64,
+) -> Option<Schedule> {
+    if jobs.is_empty() {
+        return Some(Schedule::new());
+    }
+    let horizon = jobs.max_deadline().expect("non-empty") - now;
+    if horizon <= 0.0 {
+        return None;
+    }
+    let mut containers = platform.counts().scale(horizon);
+    let mut assigned: HashMap<JobId, usize> = HashMap::new();
+    let mut schedule = Schedule::new();
+
+    while assigned.len() < jobs.len() {
+        let mut pending: Vec<(JobId, Vec<usize>)> = Vec::new();
+        for job in jobs.iter() {
+            if assigned.contains_key(&job.id()) {
+                continue;
+            }
+            let cl = reference_feasible_configs(job, &containers, platform, now);
+            if cl.is_empty() {
+                return None;
+            }
+            pending.push((job.id(), cl));
+        }
+
+        let pick = match policy {
+            // Pinned against `reference_mdf` instead: the ablation loop's
+            // MDF arm ranked differences within EPS as distinct.
+            JobOrderPolicy::MaxDifference => unreachable!("compared with reference_mdf"),
+            JobOrderPolicy::EarliestDeadline => pending
+                .iter()
+                .enumerate()
+                .min_by(|(_, (ia, _)), (_, (ib, _))| {
+                    let d = |id: &JobId| jobs.get(*id).expect("known id").deadline();
+                    d(ia).total_cmp(&d(ib)).then(ia.cmp(ib))
+                })
+                .map(|(i, _)| i),
+            JobOrderPolicy::CheapestFirst => pending
+                .iter()
+                .enumerate()
+                .min_by(|(_, (ia, ca)), (_, (ib, cb))| {
+                    let e = |id: &JobId, cl: &Vec<usize>| {
+                        jobs.get(*id).expect("known id").remaining_energy(cl[0])
+                    };
+                    e(ia, ca).total_cmp(&e(ib, cb)).then(ia.cmp(ib))
+                })
+                .map(|(i, _)| i),
+            JobOrderPolicy::InsertionOrder => Some(0),
+        }?;
+        let (target, mut cl) = pending.swap_remove(pick);
+        let job = jobs.get(target).expect("selected from the set");
+
+        let mut placed = false;
+        while !cl.is_empty() {
+            let j_star = cl.remove(0);
+            let mut trial = assigned.clone();
+            trial.insert(target, j_star);
+            if let Some(built) = reference_schedule_jobs(jobs, &trial, platform, now) {
+                let p = job.point(j_star);
+                containers.consume(&p.resources().scale(p.time() * job.remaining()));
+                assigned = trial;
+                schedule = built;
+                placed = true;
+                break;
+            }
+        }
+        if !placed {
+            return None;
+        }
+    }
+    Some(schedule)
+}
+
+/// Frozen copy of the original `schedule_jobs`.
+fn reference_schedule_jobs(
+    jobs: &JobSet,
+    configs: &HashMap<JobId, usize>,
+    platform: &Platform,
+    now: f64,
+) -> Option<Schedule> {
+    let m = platform.num_types();
+    let mut schedule = Schedule::new();
+    let mut te = now;
+
+    for id in jobs.ids_by_deadline() {
+        let Some(&point_idx) = configs.get(&id) else {
+            continue;
+        };
+        let job = jobs.get(id).expect("id comes from the job set");
+        let point = job.point(point_idx);
+        let mut rho = job.remaining();
+        let mut tf = now;
+
+        let mut si = 0;
+        while si < schedule.num_segments() && rho > RHO_EPS {
+            let seg = &schedule.segments()[si];
+            let used = seg.demand(jobs, m);
+            if !(point.resources() + &used).fits_within(platform.counts()) {
+                si += 1;
+                continue;
+            }
+            let r = point.time() * rho;
+            let dur = seg.duration();
+            if r >= dur - EPS {
+                schedule.add_mapping_to(si, JobMapping::new(id, point_idx));
+                rho = (rho - dur / point.time()).max(0.0);
+                if rho <= RHO_EPS {
+                    rho = 0.0;
+                    tf = schedule.segments()[si].end();
+                }
+            } else {
+                let at = seg.start() + r;
+                if at > seg.start() {
+                    schedule.split_segment(si, at);
+                    schedule.add_mapping_to(si, JobMapping::new(id, point_idx));
+                    rho = 0.0;
+                    tf = schedule.segments()[si].end();
+                } else {
+                    rho = 0.0;
+                    tf = seg.start();
+                }
+            }
+            si += 1;
+        }
+
+        if rho > RHO_EPS {
+            let r = point.time() * rho;
+            if te + r > te {
+                let seg = Segment::new(te, te + r, vec![JobMapping::new(id, point_idx)]);
+                schedule.push(seg);
+                te += r;
+            }
+            tf = te;
+        }
+        if let Some(end) = schedule.end_time() {
+            te = te.max(end);
+        }
+
+        if tf > job.deadline() + EPS {
+            return None;
+        }
+    }
+    Some(schedule)
+}
+
+/// The characterized benchmark suite on the Odroid XU4, built once.
+fn suite() -> &'static [AppRef] {
+    static SUITE: OnceLock<Vec<AppRef>> = OnceLock::new();
+    SUITE.get_or_init(|| apps::benchmark_suite(&Platform::odroid_xu4()))
+}
+
+/// One drawn job: application index (taken modulo the library size),
+/// remaining ratio, deadline slack in multiples of the job's fastest
+/// remaining run time (below 1 is infeasible; draws below 0.8 become
+/// exactly 1, so about 4 % of jobs sit on the boundary where the EPS
+/// tolerances decide), how long before `now` it arrived, and whether and
+/// with which configuration `schedule_jobs` packs it (the index is taken
+/// modulo the point count).
+type JobDraw = (usize, f64, f64, f64, (bool, usize));
+
+fn jobs_strategy() -> impl Strategy<Value = Vec<JobDraw>> {
+    prop::collection::vec(
+        (
+            0usize..1000,
+            1e-6f64..=1.0,
+            0.6f64..=6.0,
+            0.0f64..=50.0,
+            (prop::bool::ANY, 0usize..1000),
+        ),
+        1..=8,
+    )
+}
+
+fn job_set(library: &[AppRef], draws: &[JobDraw], now: f64) -> JobSet {
+    JobSet::new(
+        draws
+            .iter()
+            .enumerate()
+            .map(|(i, &(app, rho, slack, age, _))| {
+                let app = AppRef::clone(&library[app % library.len()]);
+                let slack = if slack < 0.8 { 1.0 } else { slack };
+                let deadline = now + app.min_time() * rho * slack;
+                Job::new(JobId(i as u64), app, (now - age).max(0.0), deadline, rho)
+            })
+            .collect(),
+    )
+}
+
+fn config_map(jobs: &JobSet, draws: &[JobDraw]) -> HashMap<JobId, usize> {
+    jobs.iter()
+        .zip(draws)
+        .filter(|(_, &(.., (assigned, _)))| assigned)
+        .map(|(job, &(.., (_, pick)))| (job.id(), pick % job.app().num_points()))
+        .collect()
+}
+
+/// Every production path must match its frozen reference.
+fn assert_matches_reference(
+    jobs: &JobSet,
+    configs: &HashMap<JobId, usize>,
+    platform: &Platform,
+    now: f64,
+) {
+    let mdf = reference_mdf(jobs, platform, now);
+    assert_eq!(
+        MmkpMdf::new().schedule_at(jobs, platform, now),
+        mdf,
+        "MmkpMdf, now = {now}, jobs = {jobs:?}"
+    );
+    assert_eq!(
+        MmkpVariant::new(JobOrderPolicy::MaxDifference).schedule_at(jobs, platform, now),
+        mdf,
+        "MmkpVariant(MaxDifference), now = {now}, jobs = {jobs:?}"
+    );
+    for policy in [
+        JobOrderPolicy::EarliestDeadline,
+        JobOrderPolicy::CheapestFirst,
+        JobOrderPolicy::InsertionOrder,
+    ] {
+        assert_eq!(
+            MmkpVariant::new(policy).schedule_at(jobs, platform, now),
+            reference_variant(policy, jobs, platform, now),
+            "{}, now = {now}, jobs = {jobs:?}",
+            policy.name()
+        );
+    }
+    assert_eq!(
+        schedule_jobs(jobs, configs, platform, now),
+        reference_schedule_jobs(jobs, configs, platform, now),
+        "schedule_jobs, now = {now}, configs = {configs:?}, jobs = {jobs:?}"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    #[test]
+    fn mdf_matches_the_frozen_reference_on_the_benchmark_suite(
+        draws in jobs_strategy(),
+        now in 0.0f64..=1e6,
+    ) {
+        let jobs = job_set(suite(), &draws, now);
+        let configs = config_map(&jobs, &draws);
+        assert_matches_reference(&jobs, &configs, &Platform::odroid_xu4(), now);
+    }
+
+    #[test]
+    fn mdf_matches_the_frozen_reference_on_the_motivational_platform(
+        draws in jobs_strategy(),
+        now in 0.0f64..=1e6,
+    ) {
+        let library = [scenarios::lambda1(), scenarios::lambda2()];
+        let jobs = job_set(&library, &draws, now);
+        let configs = config_map(&jobs, &draws);
+        assert_matches_reference(&jobs, &configs, &scenarios::platform(), now);
+    }
+}
