@@ -19,18 +19,18 @@ use amrm_core::{
     SearchBudget, SlackAware, WindowTau,
 };
 use amrm_metrics::journal::{EventKind, JournalConfig};
-use amrm_metrics::{TelemetrySummary, TextTable, TraceSink};
+use amrm_metrics::{TelemetrySummary, TextTable};
 use amrm_platform::Platform;
 use amrm_sim::Simulation;
 use amrm_workload::ScenarioRequest;
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 
 /// A thread-shareable factory for (possibly stateful) admission policies:
 /// each grid cell and load-sweep point calls it for a fresh instance.
 pub type PolicyFactory = Box<dyn Fn() -> Box<dyn AdmissionPolicy> + Send + Sync>;
 
 /// One cell of the stream × policy × scheduler grid.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct AdmissionCell {
     /// Label of the request stream the cell ran on (e.g. `"poisson"`).
     pub stream: String,
@@ -64,51 +64,6 @@ pub struct AdmissionCell {
     /// End-of-run telemetry aggregates (queue-wait percentiles, EWMA
     /// utilization and arrival rate, rolling acceptance, …).
     pub telemetry: TelemetrySummary,
-}
-
-impl serde::Deserialize for AdmissionCell {
-    /// Hand-written like `PerfBaseline`'s (the vendored serde stub has no
-    /// `#[serde(default)]`): baselines written before the telemetry
-    /// subsystem lack `stream`/`telemetry` and read back with defaults.
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let Some(fields) = v.as_obj() else {
-            return Err(serde::Error::new("expected AdmissionCell object"));
-        };
-        let field = |name: &str| serde::value::get_field(fields, name);
-        Ok(AdmissionCell {
-            stream: match field("stream") {
-                Ok(value) => String::from_value(value)?,
-                Err(_) => "poisson".to_string(),
-            },
-            policy: String::from_value(field("policy")?)?,
-            scheduler: String::from_value(field("scheduler")?)?,
-            requests: usize::from_value(field("requests")?)?,
-            accepted: usize::from_value(field("accepted")?)?,
-            acceptance_rate: f64::from_value(field("acceptance_rate")?)?,
-            energy_per_job: f64::from_value(field("energy_per_job")?)?,
-            activations: usize::from_value(field("activations")?)?,
-            queue_deadline_drops: usize::from_value(field("queue_deadline_drops")?)?,
-            deadline_misses: usize::from_value(field("deadline_misses")?)?,
-            // Absent in baselines written before the exact-path
-            // (rank-cap + warm-cache) counters existed.
-            exact_truncations: match field("exact_truncations") {
-                Ok(value) => u64::from_value(value)?,
-                Err(_) => 0,
-            },
-            rank_pruned: match field("rank_pruned") {
-                Ok(value) => u64::from_value(value)?,
-                Err(_) => 0,
-            },
-            cache_warm_hits: match field("cache_warm_hits") {
-                Ok(value) => u64::from_value(value)?,
-                Err(_) => 0,
-            },
-            telemetry: match field("telemetry") {
-                Ok(value) => TelemetrySummary::from_value(value)?,
-                Err(_) => TelemetrySummary::default(),
-            },
-        })
-    }
 }
 
 /// The default policy set for A/B runs: the paper's per-request
@@ -214,17 +169,16 @@ pub fn admission_grid(
         // is what surfaces the exact path's truncation / rank-prune /
         // warm-hit aggregates, which are exact counters even when the
         // bounded ring evicts events.
-        let config = JournalConfig::default();
-        let mut sim = Simulation::new(
+        let outcome = Simulation::new(
             platform.clone(),
             scheduler,
             ReactivationPolicy::OnArrival,
             policy,
             stream,
         )
-        .with_search_budget(budget);
-        sim.install_journal(TraceSink::enabled(config), config.sample);
-        let outcome = sim.run();
+        .with_search_budget(budget)
+        .with_journal(JournalConfig::default())
+        .run();
         let journal = outcome.journal.as_ref().expect("journal installed");
         let (exact_truncations, rank_pruned, cache_warm_hits) = (
             journal.count_of(EventKind::Truncation),
@@ -252,11 +206,10 @@ pub fn admission_grid(
 }
 
 /// Renders a grid as a text table, one row per (stream, policy,
-/// scheduler). The queue-wait and decision-time tail columns come from
-/// the *streaming* log-bucketed histograms — exact over the whole run in
-/// O(1) memory — rather than the telemetry's bounded recent-window
-/// percentile rings (which remain the adaptive policies' control
-/// signals).
+/// scheduler). The queue-wait tail column comes from the *streaming*
+/// log-bucketed histogram — exact over the whole run in O(1) memory —
+/// rather than the telemetry's bounded recent-window percentile ring
+/// (which remains the adaptive policies' control signal).
 pub fn admission_report(cells: &[AdmissionCell]) -> String {
     let mut out = String::from(
         "Admission-policy A/B: fixed and adaptive batching vs the paper's per-request discipline\n\n",
@@ -274,7 +227,6 @@ pub fn admission_report(cells: &[AdmissionCell]) -> String {
         "pruned",
         "warm",
         "wait p95 [s]",
-        "decide p95 [ms]",
     ]);
     for c in cells {
         t.add_row(vec![
@@ -290,7 +242,6 @@ pub fn admission_report(cells: &[AdmissionCell]) -> String {
             c.rank_pruned.to_string(),
             c.cache_warm_hits.to_string(),
             format!("{:.2}", c.telemetry.queue_wait_hist.p95),
-            format!("{:.2}", c.telemetry.decision_seconds_hist.p95 * 1e3),
         ]);
     }
     out.push_str(&t.to_string());
@@ -667,25 +618,5 @@ mod tests {
                  below fixed-budget {fixed:.3}"
             );
         }
-    }
-
-    #[test]
-    fn legacy_cells_without_stream_or_telemetry_still_parse() {
-        // The exact cell shape `repro --json` wrote before the telemetry
-        // subsystem existed.
-        let legacy = r#"{
-            "policy": "BatchK(4)", "scheduler": "MMKP-MDF",
-            "requests": 30, "accepted": 28, "acceptance_rate": 0.93,
-            "energy_per_job": 12.5, "activations": 8,
-            "queue_deadline_drops": 0, "deadline_misses": 0
-        }"#;
-        let cell: AdmissionCell = serde_json::from_str(legacy).unwrap();
-        assert_eq!(cell.stream, "poisson");
-        assert_eq!(cell.policy, "BatchK(4)");
-        assert_eq!(cell.telemetry, TelemetrySummary::default());
-        // Pre-exact-path baselines read back with zeroed counters.
-        assert_eq!(cell.exact_truncations, 0);
-        assert_eq!(cell.rank_pruned, 0);
-        assert_eq!(cell.cache_warm_hits, 0);
     }
 }

@@ -34,11 +34,7 @@ pub struct SchedulerBaseline {
 }
 
 /// A whole suite run, ready to serialize as the repo's perf baseline.
-///
-/// `Deserialize` is hand-written (the vendored serde stub has no
-/// `#[serde(default)]`): a baseline written before the admission grid
-/// existed simply lacks the `admission` key and reads back as empty.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PerfBaseline {
     /// RNG seed the suite was generated with.
     pub seed: u64,
@@ -53,66 +49,21 @@ pub struct PerfBaseline {
     /// Per-scheduler aggregates, in registry order.
     pub schedulers: Vec<SchedulerBaseline>,
     /// Admission-policy × scheduler grid on the seeded online stream
-    /// (empty when the producing command skipped the online A/B, or the
-    /// file predates the grid).
+    /// (empty when the producing command skipped the online A/B).
     pub admission: Vec<crate::admission::AdmissionCell>,
     /// Streaming-kernel throughput cells (`repro profile`; empty when the
-    /// producing command skipped the profile, or the file predates it).
+    /// producing command skipped the profile).
     pub profile: Vec<crate::profile::ProfileCell>,
     /// Sharded-federation cells (`repro shard`; empty when the producing
-    /// command skipped the shard bench, or the file predates it).
+    /// command skipped the shard bench).
     pub shard: Vec<crate::shard::ShardCell>,
     /// Event-journal counts of the traced federated run (`repro trace`;
-    /// empty when the producing command skipped the trace, or the file
-    /// predates it).
+    /// empty when the producing command skipped the trace).
     pub trace: Vec<crate::trace::TraceCount>,
     /// EX-MEM exact-path cells: capped-vs-uncapped ranking and
     /// cold-vs-warm cache replay (`repro exact`; empty when the
-    /// producing command skipped the exact bench, or the file predates
-    /// it).
+    /// producing command skipped the exact bench).
     pub exact: Vec<crate::exact::ExactCell>,
-}
-
-impl serde::Deserialize for PerfBaseline {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let Some(fields) = v.as_obj() else {
-            return Err(serde::Error::new("expected PerfBaseline object"));
-        };
-        let field = |name: &str| serde::value::get_field(fields, name);
-        Ok(PerfBaseline {
-            seed: u64::from_value(field("seed")?)?,
-            threads: usize::from_value(field("threads")?)?,
-            quick: bool::from_value(field("quick")?)?,
-            cases: usize::from_value(field("cases")?)?,
-            evaluation_seconds: f64::from_value(field("evaluation_seconds")?)?,
-            schedulers: Vec::from_value(field("schedulers")?)?,
-            // Absent in baselines written before the grid existed.
-            admission: match field("admission") {
-                Ok(value) => Vec::from_value(value)?,
-                Err(_) => Vec::new(),
-            },
-            // Absent in baselines written before `repro profile` existed.
-            profile: match field("profile") {
-                Ok(value) => Vec::from_value(value)?,
-                Err(_) => Vec::new(),
-            },
-            // Absent in baselines written before `repro shard` existed.
-            shard: match field("shard") {
-                Ok(value) => Vec::from_value(value)?,
-                Err(_) => Vec::new(),
-            },
-            // Absent in baselines written before `repro trace` existed.
-            trace: match field("trace") {
-                Ok(value) => Vec::from_value(value)?,
-                Err(_) => Vec::new(),
-            },
-            // Absent in baselines written before `repro exact` existed.
-            exact: match field("exact") {
-                Ok(value) => Vec::from_value(value)?,
-                Err(_) => Vec::new(),
-            },
-        })
-    }
 }
 
 /// Condenses `eval` into a [`PerfBaseline`].
@@ -221,63 +172,6 @@ mod tests {
         if let Some(g) = exmem.geomean_energy_vs_exmem {
             assert!((g - 1.0).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn legacy_baseline_without_admission_field_still_parses() {
-        // The exact shape `repro --json` wrote before the admission grid
-        // existed — it must read back with an empty grid, not error.
-        let legacy = r#"{
-            "seed": 2020, "threads": 1, "quick": true, "cases": 2,
-            "evaluation_seconds": 0.5,
-            "schedulers": [{
-                "scheduler": "MMKP-MDF", "scheduled": 2, "cases": 2,
-                "geomean_energy_vs_exmem": null,
-                "mean_search_seconds": 0.001, "max_search_seconds": 0.002
-            }]
-        }"#;
-        let back: PerfBaseline = serde_json::from_str(legacy).unwrap();
-        assert_eq!(back.seed, 2020);
-        assert_eq!(back.schedulers.len(), 1);
-        assert!(back.admission.is_empty());
-        assert!(back.profile.is_empty());
-        assert!(back.shard.is_empty());
-        assert!(back.trace.is_empty());
-        assert!(back.exact.is_empty());
-    }
-
-    #[test]
-    fn pre_shard_baseline_with_profile_cells_still_parses() {
-        // The shape written between `repro profile` and `repro shard`:
-        // profile cells present, no `shard` key — reads back with an
-        // empty shard section, not an error.
-        let pre_shard = r#"{
-            "seed": 2020, "threads": 1, "quick": true, "cases": 1,
-            "evaluation_seconds": 0.1,
-            "schedulers": [{
-                "scheduler": "MMKP-MDF", "scheduled": 1, "cases": 1,
-                "geomean_energy_vs_exmem": null,
-                "mean_search_seconds": 0.001, "max_search_seconds": 0.002
-            }],
-            "admission": [],
-            "profile": [{
-                "scheduler": "MMKP-MDF", "requests": 10, "accepted": 9,
-                "wall_seconds": 0.01, "requests_per_second": 1000.0,
-                "events_per_second": 2000.0,
-                "counters": {
-                    "events": 20, "heap_pushes": 20, "flushes": 10,
-                    "schedule_calls": 10, "memo_hits": 0,
-                    "peak_queue_depth": 1
-                },
-                "allocated_bytes": 0, "allocation_calls": 0
-            }]
-        }"#;
-        let back: PerfBaseline = serde_json::from_str(pre_shard).unwrap();
-        assert_eq!(back.profile.len(), 1);
-        assert!(back.shard.is_empty());
-        // A pre-trace baseline reads back with empty newer sections.
-        assert!(back.trace.is_empty());
-        assert!(back.exact.is_empty());
     }
 
     #[test]

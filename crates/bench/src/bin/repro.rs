@@ -26,7 +26,7 @@
 //!               streams; --json writes the TuneReport artifact)
 //!   profile     streaming-kernel throughput: a lazily generated diurnal
 //!               stream (1M requests; --quick: 20k) through MMKP-MDF and
-//!               META in lean mode, reporting requests/s, events/s and
+//!               META in aggregated mode, reporting requests/s, events/s and
 //!               the hot-path instrumentation counters (--json writes
 //!               the ProfileReport; --baseline F enforces the events/s
 //!               floor against a recorded BENCH_baseline.json)

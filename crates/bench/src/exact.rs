@@ -30,7 +30,7 @@ use std::time::Instant;
 use amrm_baselines::{ExMem, MappingCache};
 use amrm_core::{Immediate, ReactivationPolicy, SearchBudget};
 use amrm_metrics::journal::{EventKind, JournalConfig};
-use amrm_metrics::{TextTable, TraceSink};
+use amrm_metrics::TextTable;
 use amrm_model::AppRef;
 use amrm_platform::Platform;
 use amrm_sim::{SimOutcome, Simulation};
@@ -124,16 +124,15 @@ fn run_exmem(
         Some(cache) => ExMem::new().with_cache(cache),
         None => ExMem::new(),
     };
-    let config = JournalConfig::default();
-    let mut sim = Simulation::new(
+    let sim = Simulation::new(
         platform.clone(),
         scheduler,
         ReactivationPolicy::OnArrival,
         Immediate,
         stream,
     )
-    .with_search_budget(budget);
-    sim.install_journal(TraceSink::enabled(config), config.sample);
+    .with_search_budget(budget)
+    .with_journal(JournalConfig::default());
     let t0 = Instant::now();
     let (outcome, scheduler) = sim.run_with_scheduler();
     let wall = t0.elapsed().as_secs_f64().max(f64::EPSILON);

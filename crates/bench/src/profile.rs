@@ -4,8 +4,8 @@
 //! [`run_profile`] drives a lazily generated diurnal
 //! [`ArrivalStream`](amrm_workload::ArrivalStream) — never materialized —
 //! through the event kernel for each profiled scheduler (MMKP-MDF and
-//! META under the online search budget) in lean outcome mode, and reports
-//! wall-clock throughput (requests/s, events/s) together with the
+//! META under the online search budget) in aggregated outcome mode, and
+//! reports wall-clock throughput (requests/s, events/s) together with the
 //! thread-local instrumentation counters the kernel, the runtime manager
 //! and EX-MEM's memo table bump on their hot paths. Cells run *serially*
 //! on the calling thread — the counters are thread-local, and a
@@ -83,10 +83,10 @@ pub struct ProfileReport {
 pub const EXACT_PROFILE_DIVISOR: usize = 100;
 
 /// Runs the throughput profile: `requests` diurnal arrivals through the
-/// streaming kernel once per profiled scheduler (MMKP-MDF, META), in lean
-/// outcome mode under [`SearchBudget::online`], plus an EX-MEM exact-path
-/// cell at `requests / `[`EXACT_PROFILE_DIVISOR`] arrivals (each cell's
-/// own `requests` field records its count).
+/// streaming kernel once per profiled scheduler (MMKP-MDF, META), in
+/// aggregated outcome mode under [`SearchBudget::online`], plus an EX-MEM
+/// exact-path cell at `requests / `[`EXACT_PROFILE_DIVISOR`] arrivals
+/// (each cell's own `requests` field records its count).
 ///
 /// # Panics
 ///
@@ -145,7 +145,7 @@ pub fn run_profile_with(requests: usize, seed: u64, schedulers: &[&str]) -> Prof
                 stream,
             )
             .with_search_budget(SearchBudget::online())
-            .without_trace()
+            .aggregated()
             .run();
             let wall = t0.elapsed().as_secs_f64().max(f64::EPSILON);
             let counters = instrument::take();

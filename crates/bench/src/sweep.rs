@@ -4,8 +4,8 @@
 //! [`sweep_grid`] crosses every registered scheduler with every admission
 //! policy and replays the same seeded Poisson stream shape at each mean
 //! inter-arrival time, producing one [`SweepCell`] per (policy ×
-//! scheduler × load) point. The per-(policy × scheduler) curves are
-//! computed by [`amrm_sim::load_sweep_with`] and the independent curves
+//! scheduler × load) point. Each point is one event-kernel
+//! [`Simulation`] run, and the independent (policy × scheduler) curves
 //! fan out over OS threads via the shared
 //! [`for_each_cell`](amrm_core::fanout::for_each_cell) work index.
 //!
@@ -20,8 +20,8 @@ use amrm_core::{ReactivationPolicy, SchedulerRegistry, SearchBudget};
 use amrm_metrics::{instrument, CounterSnapshot, TextTable};
 use amrm_model::AppRef;
 use amrm_platform::Platform;
-use amrm_sim::{load_sweep_streams, poisson_streams};
-use amrm_workload::StreamSpec;
+use amrm_sim::Simulation;
+use amrm_workload::{poisson_stream, StreamSpec};
 use serde::{Deserialize, Serialize};
 
 use crate::admission::PolicyFactory;
@@ -74,10 +74,10 @@ pub struct SweepReport {
 
 /// Runs the (policy × scheduler × load) sweep grid. Cells are grouped as
 /// (policy × scheduler) curves — each curve replays identical seeded
-/// streams over `interarrivals` via [`load_sweep_with`] — and the curves
-/// fan out over `threads` OS threads. `budget` bounds every scheduler
-/// activation (pass [`SearchBudget::online`] so exhaustive search cannot
-/// stall a dense-load cell).
+/// Poisson streams over `interarrivals` — and the curves fan out over
+/// `threads` OS threads. `budget` bounds every scheduler activation (pass
+/// [`SearchBudget::online`] so exhaustive search cannot stall a
+/// dense-load cell).
 ///
 /// # Panics
 ///
@@ -101,7 +101,10 @@ pub fn sweep_grid(
     let names = registry.names();
     // Every (policy × scheduler) curve replays identical seeded streams,
     // so generate them exactly once and share across all curves.
-    let streams = poisson_streams(apps, interarrivals, spec, seed);
+    let streams: Vec<_> = interarrivals
+        .iter()
+        .map(|&mean| poisson_stream(apps, mean, spec, seed))
+        .collect();
     let curves = for_each_cell(policies.len() * columns, threads, |curve| {
         let policy_idx = curve / columns;
         let sched_idx = curve % columns;
@@ -111,40 +114,36 @@ pub fn sweep_grid(
             .expect("scheduler index in range")
             .1;
         let label = policies[policy_idx]().label();
-        let mut out = Vec::with_capacity(interarrivals.len());
-        // One point per call so the thread-local counters can be drained
-        // around each cell: consecutive cells on the same worker thread
-        // must not leak counts into each other.
-        for i in 0..interarrivals.len() {
-            let _ = instrument::take();
-            let points = load_sweep_streams(
-                platform,
-                || factory(),
-                ReactivationPolicy::OnArrival,
-                || policies[policy_idx](),
-                &interarrivals[i..=i],
-                &streams[i..=i],
-                budget,
-                1,
-            );
-            let counters = instrument::take();
-            for p in points {
-                out.push(SweepCell {
+        // The thread-local counters are drained around each point:
+        // consecutive cells on the same worker thread must not leak
+        // counts into each other.
+        (0..interarrivals.len())
+            .map(|i| {
+                let _ = instrument::take();
+                let outcome = Simulation::new(
+                    platform.clone(),
+                    factory(),
+                    ReactivationPolicy::OnArrival,
+                    policies[policy_idx](),
+                    &streams[i],
+                )
+                .with_search_budget(budget)
+                .run();
+                SweepCell {
                     policy: label.clone(),
                     scheduler: names[sched_idx].to_string(),
-                    mean_interarrival: p.mean_interarrival,
-                    requests: p.outcome.admissions.len(),
-                    accepted: p.outcome.accepted(),
-                    acceptance_rate: p.acceptance_rate,
-                    energy_per_job: p.energy_per_job,
-                    activations: p.outcome.stats.activations,
-                    queue_deadline_drops: p.outcome.queue_deadline_drops,
-                    deadline_misses: p.outcome.stats.deadline_misses,
-                    counters,
-                });
-            }
-        }
-        out
+                    mean_interarrival: interarrivals[i],
+                    requests: outcome.admissions.len(),
+                    accepted: outcome.accepted(),
+                    acceptance_rate: outcome.acceptance_rate(),
+                    energy_per_job: outcome.energy_per_job(),
+                    activations: outcome.stats.activations,
+                    queue_deadline_drops: outcome.queue_deadline_drops,
+                    deadline_misses: outcome.stats.deadline_misses,
+                    counters: instrument::take(),
+                }
+            })
+            .collect::<Vec<_>>()
     });
     curves.into_iter().flatten().collect()
 }
@@ -259,6 +258,31 @@ mod tests {
             assert!(c.accepted <= c.requests);
             assert_eq!(c.deadline_misses, 0);
         }
+    }
+
+    #[test]
+    fn lighter_load_is_never_worse_on_acceptance() {
+        let registry = standard_registry().subset(&[MDF_NAME]);
+        let policies: Vec<PolicyFactory> = vec![Box::new(|| Box::new(Immediate))];
+        let spec = StreamSpec {
+            requests: 25,
+            slack_range: (1.2, 2.0),
+        };
+        let cells = sweep_grid(
+            &scenarios::platform(),
+            &registry,
+            &policies,
+            &lib(),
+            &[2.0, 20.0],
+            &spec,
+            11,
+            1,
+            SearchBudget::unbounded(),
+        );
+        // Very light load (mean 20 s between ~5 s jobs) must admit at
+        // least as much as heavy load in aggregate.
+        assert!(cells[1].acceptance_rate >= cells[0].acceptance_rate - 1e-9);
+        assert!(cells[1].acceptance_rate > 0.9);
     }
 
     #[test]

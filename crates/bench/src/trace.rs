@@ -129,7 +129,7 @@ pub fn run_trace_with(requests: usize, quick: bool, seed: u64, sample: u64) -> T
     };
     let pool: Vec<_> = (0..TRACE_SHARDS)
         .map(|_| {
-            let mut shard: Simulation<Box<dyn Scheduler + Send>, _> = Simulation::open(
+            let shard: Simulation<Box<dyn Scheduler + Send>, _> = Simulation::open(
                 platform.clone(),
                 standard_registry()
                     .create(META_NAME)
@@ -138,8 +138,8 @@ pub fn run_trace_with(requests: usize, quick: bool, seed: u64, sample: u64) -> T
                 BatchK(BATCH),
             )
             .with_search_budget(SearchBudget::online())
-            .aggregated();
-            shard.install_journal(TraceSink::enabled(config), config.sample);
+            .aggregated()
+            .with_journal(config);
             shard
         })
         .collect();

@@ -37,7 +37,7 @@ use amrm_core::{
     SlackAware,
 };
 use amrm_metrics::journal::{EventKind, JournalConfig};
-use amrm_metrics::{TextTable, TraceSink};
+use amrm_metrics::TextTable;
 use amrm_model::AppRef;
 use amrm_platform::Platform;
 use amrm_sim::Simulation;
@@ -429,17 +429,16 @@ fn run_exmem_cell(
     scheduler: ExMem,
     stream: &[amrm_workload::ScenarioRequest],
 ) -> (f64, f64, u64) {
-    let config = JournalConfig::default();
-    let mut sim = Simulation::new(
+    let outcome = Simulation::new(
         platform.clone(),
         scheduler,
         ReactivationPolicy::OnArrival,
         Immediate,
         stream,
     )
-    .with_search_budget(SearchBudget::nodes(SearchBudget::ONLINE_WORK_UNITS));
-    sim.install_journal(TraceSink::enabled(config), config.sample);
-    let outcome = sim.run();
+    .with_search_budget(SearchBudget::nodes(SearchBudget::ONLINE_WORK_UNITS))
+    .with_journal(JournalConfig::default())
+    .run();
     let truncations = outcome
         .journal
         .as_ref()

@@ -12,7 +12,7 @@
 //!
 //! `AdmissionPolicy` is a **trait**: implement it (plus
 //! [`label`](AdmissionPolicy::label)) and every consumer — the event
-//! kernel, `load_sweep_with`, the `repro admission` grid — picks the
+//! kernel, the `repro sweep` and `repro admission` grids — picks the
 //! policy up unchanged. Stateless fixed policies ([`Immediate`],
 //! [`BatchK`], [`WindowTau`]) ignore the snapshot; the stateful
 //! [`AdaptiveBatch`] and [`SlackAware`] close the feedback loop from the

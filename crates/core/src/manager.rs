@@ -125,11 +125,6 @@ pub struct RuntimeManager<S> {
     next_id: u64,
     engine: ExecutionEngine,
     stats: RmStats,
-    /// Wall-clock seconds the most recent [`submit_batch`]
-    /// (RuntimeManager::submit_batch) spent deciding — the
-    /// admission-decision latency sample the telemetry subsystem records
-    /// per activation.
-    last_decision_seconds: f64,
     /// The most recent telemetry snapshot observed via
     /// [`observe_telemetry`](RuntimeManager::observe_telemetry); handed to
     /// the scheduler inside every [`SchedulingContext`]. Stays at the idle
@@ -167,7 +162,6 @@ impl<S: Scheduler> RuntimeManager<S> {
             next_id: 1,
             engine: ExecutionEngine::new(),
             stats: RmStats::default(),
-            last_decision_seconds: 0.0,
             telemetry: TelemetrySnapshot::default(),
             budget: SearchBudget::unbounded(),
             trace: TraceSink::disabled(),
@@ -293,12 +287,6 @@ impl<S: Scheduler> RuntimeManager<S> {
         self.engine.busy_cores(self.platform.num_types())
     }
 
-    /// Wall-clock seconds the most recent batch admission decision took
-    /// (0.0 before the first [`submit_batch`](RuntimeManager::submit_batch)).
-    pub fn last_decision_seconds(&self) -> f64 {
-        self.last_decision_seconds
-    }
-
     /// Snapshot of the unfinished jobs, with progress advanced to
     /// [`now`](RuntimeManager::now).
     pub fn active_jobs(&self) -> JobSet {
@@ -357,9 +345,7 @@ impl<S: Scheduler> RuntimeManager<S> {
     /// legitimately expire before its batch is flushed.
     ///
     /// Returns one [`Admission`] per request, in input order; job ids are
-    /// assigned in input order whether admitted or not. The wall-clock
-    /// decision time is recorded and exposed via
-    /// [`last_decision_seconds`](RuntimeManager::last_decision_seconds).
+    /// assigned in input order whether admitted or not.
     pub fn submit_batch(&mut self, requests: &[(AppRef, f64)]) -> Vec<Admission> {
         let mut admissions = Vec::with_capacity(requests.len());
         self.submit_batch_into(requests, &mut admissions);
@@ -375,7 +361,6 @@ impl<S: Scheduler> RuntimeManager<S> {
         requests: &[(AppRef, f64)],
         admissions: &mut Vec<Admission>,
     ) {
-        let started = std::time::Instant::now();
         // The candidate buffers live on the manager so repeated batches
         // reuse their capacity; they are taken out for the duration of
         // the decision to keep the borrow checker out of the hot loop.
@@ -386,7 +371,6 @@ impl<S: Scheduler> RuntimeManager<S> {
         self.decide_batch(requests, admissions, &mut viable, &mut viable_slots);
         self.viable_scratch = viable;
         self.viable_slots_scratch = viable_slots;
-        self.last_decision_seconds = started.elapsed().as_secs_f64();
     }
 
     fn decide_batch(
@@ -798,12 +782,10 @@ mod tests {
     }
 
     #[test]
-    fn busy_cores_and_decision_latency_are_observable() {
+    fn busy_cores_are_observable() {
         let mut rm = RuntimeManager::new(scenarios::platform(), MmkpMdf::new());
         assert_eq!(rm.busy_cores().total(), 0);
-        assert_eq!(rm.last_decision_seconds(), 0.0);
         assert!(rm.submit(scenarios::lambda1(), 9.0).is_accepted());
-        assert!(rm.last_decision_seconds() > 0.0);
         rm.advance_to(1.0);
         // σ1 runs on 2L1B of the 2L2B platform: 3 of 4 cores busy.
         assert_eq!(rm.busy_cores().total(), 3);

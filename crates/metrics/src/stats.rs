@@ -91,7 +91,7 @@ fn sorted_copy(values: &[f64]) -> Option<Vec<f64>> {
 }
 
 /// The p50/p95/p99 summary of a sample buffer — the shape the telemetry
-/// subsystem reports for admission-decision latency and queue waits.
+/// subsystem reports for simulated queue waits.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Percentiles {
     /// Median.

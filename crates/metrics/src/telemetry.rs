@@ -15,11 +15,9 @@
 //! [`Telemetry::summary`] condenses the series into a serializable
 //! [`TelemetrySummary`] (percentile queue waits, mean utilization, …).
 //!
-//! Everything a policy can observe through the snapshot is derived from
-//! *simulated* time and state — never wall clocks — so adaptive policies
-//! stay deterministic per seed. Wall-clock scheduler decision times are
-//! recorded too, but only surface in the summary (reporting), never in
-//! the snapshot.
+//! Every series is derived from *simulated* time and state — never wall
+//! clocks — so adaptive policies stay deterministic per seed and two runs
+//! of one seed produce equal summaries.
 //!
 //! # Examples
 //!
@@ -35,7 +33,7 @@
 //! assert_eq!(snap.queue_depth, 1);
 //! ```
 
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 
 use crate::histogram::{HistogramSummary, LogHistogram};
 use crate::stats::Percentiles;
@@ -238,17 +236,14 @@ impl Default for TelemetrySnapshot {
 ///
 /// Percentiles are computed over bounded sample rings (the most recent
 /// [`Telemetry::SAMPLE_CAPACITY`] samples) and default to 0.0 when a
-/// series is empty. `decision_seconds_*` are wall-clock scheduler
-/// decision times — machine-dependent, like the suite's search times;
-/// everything else is simulated time and reproducible per seed.
+/// series is empty. Every field is simulated time or state, so a summary
+/// is reproducible per seed.
 ///
 /// The `*_hist` summaries come from streaming [`LogHistogram`]s that see
 /// **every** sample of the run (not just the bounded rings), at O(1)
 /// memory — the distribution aggregates bench reporting uses for
-/// multi-million-request aggregated runs. `Deserialize` is hand-written
-/// (the vendored serde stub has no `#[serde(default)]`): summaries
-/// written before the histograms existed read back with empty ones.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+/// multi-million-request aggregated runs.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct TelemetrySummary {
     /// Arrivals observed.
     pub arrivals: usize,
@@ -278,60 +273,13 @@ pub struct TelemetrySummary {
     pub queue_wait_p95: f64,
     /// 99th-percentile queue wait, simulated seconds.
     pub queue_wait_p99: f64,
-    /// Median wall-clock scheduler decision time per activation, seconds.
-    pub decision_seconds_p50: f64,
-    /// 95th-percentile wall-clock decision time, seconds.
-    pub decision_seconds_p95: f64,
-    /// 99th-percentile wall-clock decision time, seconds.
-    pub decision_seconds_p99: f64,
     /// Whole-run queue-wait distribution (simulated seconds), streamed
     /// through a log-bucketed histogram.
     pub queue_wait_hist: HistogramSummary,
-    /// Whole-run wall-clock decision-time distribution (seconds) —
-    /// machine-dependent, reporting only.
-    pub decision_seconds_hist: HistogramSummary,
     /// Whole-run slack-at-admission distribution: `deadline − now` of
     /// each **admitted** request at its decision instant, simulated
     /// seconds.
     pub admission_slack_hist: HistogramSummary,
-}
-
-impl serde::Deserialize for TelemetrySummary {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let Some(fields) = v.as_obj() else {
-            return Err(serde::Error::new("expected TelemetrySummary object"));
-        };
-        let field = |name: &str| serde::value::get_field(fields, name);
-        // Histogram summaries are absent in files written before the
-        // streaming histograms existed — default to empty.
-        let hist = |name: &str| -> Result<HistogramSummary, serde::Error> {
-            match field(name) {
-                Ok(value) => HistogramSummary::from_value(value),
-                Err(_) => Ok(HistogramSummary::default()),
-            }
-        };
-        Ok(TelemetrySummary {
-            arrivals: usize::from_value(field("arrivals")?)?,
-            activations: usize::from_value(field("activations")?)?,
-            queue_drops: usize::from_value(field("queue_drops")?)?,
-            arrival_rate: f64::from_value(field("arrival_rate")?)?,
-            queue_depth: f64::from_value(field("queue_depth")?)?,
-            utilization: f64::from_value(field("utilization")?)?,
-            utilization_per_type: Vec::from_value(field("utilization_per_type")?)?,
-            rolling_acceptance: f64::from_value(field("rolling_acceptance")?)?,
-            energy_per_job: f64::from_value(field("energy_per_job")?)?,
-            activation_latency: f64::from_value(field("activation_latency")?)?,
-            queue_wait_p50: f64::from_value(field("queue_wait_p50")?)?,
-            queue_wait_p95: f64::from_value(field("queue_wait_p95")?)?,
-            queue_wait_p99: f64::from_value(field("queue_wait_p99")?)?,
-            decision_seconds_p50: f64::from_value(field("decision_seconds_p50")?)?,
-            decision_seconds_p95: f64::from_value(field("decision_seconds_p95")?)?,
-            decision_seconds_p99: f64::from_value(field("decision_seconds_p99")?)?,
-            queue_wait_hist: hist("queue_wait_hist")?,
-            decision_seconds_hist: hist("decision_seconds_hist")?,
-            admission_slack_hist: hist("admission_slack_hist")?,
-        })
-    }
 }
 
 /// The online telemetry recorder owned by the simulation kernel.
@@ -359,12 +307,10 @@ pub struct Telemetry {
     /// A `Cell` because the lazily recomputed value must be stored from
     /// the `&self` snapshot path (the recorder stays `Send`).
     queue_wait_p95_cache: std::cell::Cell<Option<f64>>,
-    decision_seconds: RingBuffer,
     /// Whole-run streaming distributions (the rings above cap at
     /// [`Telemetry::SAMPLE_CAPACITY`]; these see every sample at O(1)
     /// memory).
     queue_wait_hist: LogHistogram,
-    decision_seconds_hist: LogHistogram,
     admission_slack_hist: LogHistogram,
     total_energy: f64,
     total_accepted: usize,
@@ -394,9 +340,7 @@ impl Telemetry {
             acceptance: RingBuffer::new(Self::ACCEPTANCE_WINDOW),
             queue_wait: RingBuffer::new(Self::SAMPLE_CAPACITY),
             queue_wait_p95_cache: std::cell::Cell::new(None),
-            decision_seconds: RingBuffer::new(Self::SAMPLE_CAPACITY),
             queue_wait_hist: LogHistogram::new(),
-            decision_seconds_hist: LogHistogram::new(),
             admission_slack_hist: LogHistogram::new(),
             total_energy: 0.0,
             total_accepted: 0,
@@ -453,13 +397,10 @@ impl Telemetry {
 
     /// Records one scheduler activation caused by a batch flush:
     /// `gather_latency` is the simulated delay between the batch's oldest
-    /// arrival and the flush, `decision_seconds` the wall-clock time the
-    /// runtime manager spent deciding the batch (reporting only).
-    pub fn record_activation(&mut self, gather_latency: f64, decision_seconds: f64) {
+    /// arrival and the flush.
+    pub fn record_activation(&mut self, gather_latency: f64) {
         self.activations += 1;
         self.activation_latency.update(gather_latency.max(0.0));
-        self.decision_seconds.push(decision_seconds.max(0.0));
-        self.decision_seconds_hist.record(decision_seconds.max(0.0));
     }
 
     /// Records the simulated queue wait (arrival → flush) of one flushed
@@ -480,15 +421,6 @@ impl Telemetry {
     /// request at its decision instant.
     pub fn record_admission_slack(&mut self, slack: f64) {
         self.admission_slack_hist.record(slack.max(0.0));
-    }
-
-    /// Folds another recorder's streaming histograms into this one (used
-    /// when merging per-shard telemetry for federation-wide reporting).
-    pub fn merge_histograms(&mut self, other: &Telemetry) {
-        self.queue_wait_hist.merge(&other.queue_wait_hist);
-        self.decision_seconds_hist
-            .merge(&other.decision_seconds_hist);
-        self.admission_slack_hist.merge(&other.admission_slack_hist);
     }
 
     /// Records the decisions of one flushed batch for the rolling
@@ -618,9 +550,7 @@ impl Telemetry {
             p95: 0.0,
             p99: 0.0,
         };
-        let pct = |ring: &RingBuffer| Percentiles::from_samples(ring.samples()).unwrap_or(zero);
-        let wait = pct(&self.queue_wait);
-        let decision = pct(&self.decision_seconds);
+        let wait = Percentiles::from_samples(self.queue_wait.samples()).unwrap_or(zero);
         TelemetrySummary {
             arrivals: self.arrivals,
             activations: self.activations,
@@ -635,11 +565,7 @@ impl Telemetry {
             queue_wait_p50: wait.p50,
             queue_wait_p95: wait.p95,
             queue_wait_p99: wait.p99,
-            decision_seconds_p50: decision.p50,
-            decision_seconds_p95: decision.p95,
-            decision_seconds_p99: decision.p99,
             queue_wait_hist: self.queue_wait_hist.summary(),
-            decision_seconds_hist: self.decision_seconds_hist.summary(),
             admission_slack_hist: self.admission_slack_hist.summary(),
         }
     }
@@ -746,7 +672,7 @@ mod tests {
         for w in [0.0, 1.0, 2.0, 3.0] {
             t.record_queue_wait(w);
         }
-        t.record_activation(1.5, 0.001);
+        t.record_activation(1.5);
         t.record_queue_drop();
         t.record_decisions(1, 1);
         let s = t.summary();
@@ -757,7 +683,6 @@ mod tests {
         assert!(s.queue_wait_p99 > s.queue_wait_p50);
         assert!((s.activation_latency - 1.5).abs() < 1e-12);
         assert!((s.rolling_acceptance - 0.5).abs() < 1e-12);
-        assert!(s.decision_seconds_p50 > 0.0);
     }
 
     #[test]
@@ -840,36 +765,14 @@ mod tests {
         for i in 0..n {
             t.record_queue_wait(i as f64 * 0.01);
         }
-        t.record_activation(0.5, 0.002);
+        t.record_activation(0.5);
         t.record_admission_slack(4.0);
         let s = t.summary();
         // The ring keeps only the last SAMPLE_CAPACITY samples; the
         // histogram counted all of them.
         assert_eq!(s.queue_wait_hist.count, n as u64);
-        assert_eq!(s.decision_seconds_hist.count, 1);
         assert_eq!(s.admission_slack_hist.count, 1);
         assert!(s.queue_wait_hist.p95 > 0.0);
         assert!((s.admission_slack_hist.max - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn legacy_summary_without_histograms_still_parses() {
-        // The exact shape written before the streaming histograms
-        // existed — must read back with empty histogram summaries.
-        let legacy = r#"{
-            "arrivals": 3, "activations": 2, "queue_drops": 0,
-            "arrival_rate": 0.5, "queue_depth": 1.0, "utilization": 0.25,
-            "utilization_per_type": [0.25, 0.0],
-            "rolling_acceptance": 1.0, "energy_per_job": 10.0,
-            "activation_latency": 0.1,
-            "queue_wait_p50": 0.2, "queue_wait_p95": 0.4,
-            "queue_wait_p99": 0.5,
-            "decision_seconds_p50": 0.001, "decision_seconds_p95": 0.002,
-            "decision_seconds_p99": 0.003
-        }"#;
-        let back: TelemetrySummary = serde_json::from_str(legacy).unwrap();
-        assert_eq!(back.arrivals, 3);
-        assert_eq!(back.queue_wait_hist, HistogramSummary::default());
-        assert_eq!(back.admission_slack_hist, HistogramSummary::default());
     }
 }

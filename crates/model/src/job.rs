@@ -35,7 +35,7 @@ impl fmt::Display for JobId {
 /// let job = Job::new(JobId(2), app, 1.0, 5.0, 1.0);
 /// assert!((job.remaining_time(0) - 3.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Job {
     id: JobId,
     app: AppRef,
@@ -130,7 +130,7 @@ impl Job {
 /// An immutable set of jobs `Σ` handed to a scheduler at an RM activation.
 ///
 /// Job identifiers within the set are unique; lookups are by [`JobId`].
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct JobSet {
     jobs: Vec<Job>,
 }

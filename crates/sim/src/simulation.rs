@@ -195,10 +195,6 @@ pub struct Simulation<S, A> {
     /// Requests dropped from the queue because their deadline passed
     /// before their batch was flushed.
     queue_deadline_drops: usize,
-    /// Lean outcome mode (see [`Simulation::without_trace`]): skip the
-    /// admitted-jobs accumulation (the engine's executed trace is gated
-    /// separately through the runtime manager).
-    lean: bool,
     /// External-arrival mode (see [`Simulation::open`]): the kernel owns
     /// no stream; a federation dispatcher injects arrivals between
     /// lockstep epochs.
@@ -338,7 +334,6 @@ impl<S: Scheduler, A: AdmissionPolicy> Simulation<S, A> {
             next_seq: 0,
             admitted: Vec::new(),
             queue_deadline_drops: 0,
-            lean: false,
             external: false,
             external_closed: false,
             pending_arrivals: 0,
@@ -382,19 +377,6 @@ impl<S: Scheduler, A: AdmissionPolicy> Simulation<S, A> {
         self
     }
 
-    /// Disables the O(events) outcome bulk for long profile runs: the
-    /// engine stops recording the executed trace and the kernel stops
-    /// accumulating the admitted-jobs set, so
-    /// [`SimOutcome::trace`] and [`SimOutcome::admitted_jobs`] come back
-    /// empty. Everything else — admissions, energy (bit-for-bit), stats,
-    /// telemetry — is unaffected.
-    #[must_use]
-    pub fn without_trace(mut self) -> Self {
-        self.rm.set_record_trace(false);
-        self.lean = true;
-        self
-    }
-
     /// Attaches a structured event journal: the kernel emits the
     /// request lifecycle (arrival → window open/tighten → flush →
     /// schedule decision → admit/reject-with-reason → completion), and
@@ -405,17 +387,13 @@ impl<S: Scheduler, A: AdmissionPolicy> Simulation<S, A> {
     /// energy bits, stats and telemetry bit-identical to a journal-free
     /// run. The resulting [`Journal`](amrm_metrics::Journal) lands in
     /// [`SimOutcome::journal`].
+    ///
+    /// Each simulation owns its sink, so federation shards journaled this
+    /// way cannot perturb each other's event order.
     #[must_use]
     pub fn with_journal(mut self, config: JournalConfig) -> Self {
-        self.install_journal(TraceSink::enabled(config), config.sample);
-        self
-    }
-
-    /// Installs an externally owned journal sink (the federation gives
-    /// each shard its own so cross-shard interleaving cannot perturb
-    /// event order). `sample` must match the sink's journal config.
-    pub fn install_journal(&mut self, sink: TraceSink, sample: u64) {
-        self.journal_sample = sample;
+        let sink = TraceSink::enabled(config);
+        self.journal_sample = config.sample;
         self.rm.set_trace_sink(sink.clone());
         // Backfill ids for requests pulled ahead of this call (the
         // constructor pulls one arrival before builders run).
@@ -424,6 +402,7 @@ impl<S: Scheduler, A: AdmissionPolicy> Simulation<S, A> {
             self.next_journal_id += 1;
         }
         self.journal = sink;
+        self
     }
 
     /// Whether the journal samples this request id (mirrors
@@ -473,13 +452,16 @@ impl<S: Scheduler, A: AdmissionPolicy> Simulation<S, A> {
     /// ([`SimOutcome::offered`], acceptance, energy — latency percentiles
     /// already live in the telemetry's bounded rings) and recycled, so a
     /// 10M-request or multi-shard run keeps memory flat instead of
-    /// holding one record per request. [`SimOutcome::admissions`] comes
-    /// back empty; everything else — counters, energy (bit-for-bit),
-    /// stats, telemetry — matches the recording run exactly. Implies
-    /// [`without_trace`](Simulation::without_trace).
+    /// holding one record per request. The O(events) outcome bulk is
+    /// dropped too: the engine stops recording the executed trace and the
+    /// kernel stops accumulating the admitted-jobs set.
+    /// [`SimOutcome::admissions`], [`SimOutcome::trace`] and
+    /// [`SimOutcome::admitted_jobs`] come back empty; everything else —
+    /// counters, energy (bit-for-bit), stats, telemetry — matches the
+    /// recording run exactly.
     #[must_use]
     pub fn aggregated(mut self) -> Self {
-        self = self.without_trace();
+        self.rm.set_record_trace(false);
         self.aggregate = true;
         // The constructor pulled ahead before the mode flipped on —
         // backfill the per-slot guard flags for already-pulled slots.
@@ -1003,10 +985,9 @@ impl<S: Scheduler, A: AdmissionPolicy> Simulation<S, A> {
 
     /// Submits the given (arrival-order index) requests as one batch,
     /// records the decisions and feeds the telemetry series (queue waits,
-    /// the activation's gathering latency and wall-clock decision time,
-    /// rolling acceptance, energy per job). `record_activation` is false
-    /// for the queue-deadline pseudo-flush, which never reaches the
-    /// scheduler.
+    /// the activation's gathering latency, rolling acceptance, energy per
+    /// job). `record_activation` is false for the queue-deadline
+    /// pseudo-flush, which never reaches the scheduler.
     fn flush_requests(&mut self, batch: &[usize], record_activation: bool) {
         instrument::record_flush();
         let now = self.rm.now();
@@ -1037,8 +1018,7 @@ impl<S: Scheduler, A: AdmissionPolicy> Simulation<S, A> {
                 .iter()
                 .map(|&i| self.requests[i].arrival)
                 .fold(f64::INFINITY, f64::min);
-            self.telemetry
-                .record_activation(now - oldest, self.rm.last_decision_seconds());
+            self.telemetry.record_activation(now - oldest);
         }
         let mut accepted = 0;
         for (pos, (&i, admission)) in batch.iter().zip(&admissions).enumerate() {
@@ -1060,7 +1040,7 @@ impl<S: Scheduler, A: AdmissionPolicy> Simulation<S, A> {
                         self.journal_live.push((*job, jid));
                     }
                 }
-                if !self.lean {
+                if !self.aggregate {
                     let req = &self.requests[i];
                     self.admitted.push(Job::new(
                         *job,
@@ -1205,6 +1185,7 @@ impl<S: Scheduler, A: AdmissionPolicy> Simulation<S, A> {
 mod tests {
     use super::*;
     use amrm_core::{AdaptiveBatch, BatchK, Immediate, MmkpMdf, SlackAware, WindowTau};
+    use amrm_model::Schedule;
     use amrm_workload::{
         bursty_window_stream, poisson_stream, scenarios, ArrivalStream, StreamSpec,
     };
@@ -1401,7 +1382,6 @@ mod tests {
         // Batching by 3 makes most requests wait in the queue.
         assert!(t.queue_wait_p95 > 0.0);
         assert!(t.queue_wait_p50 <= t.queue_wait_p95);
-        assert!(t.decision_seconds_p50 > 0.0);
         assert!(t.activation_latency > 0.0);
         if outcome.accepted() > 0 {
             assert!((t.energy_per_job - outcome.energy_per_job()).abs() < 1e-9);
@@ -1619,30 +1599,11 @@ mod tests {
             ArrivalStream::diurnal(&lib(), 2.0, 3.0, 60.0, &spec, 23),
         )
         .run();
-        assert_eq!(materialized.admissions, streamed.admissions);
         assert_eq!(
             materialized.total_energy.to_bits(),
             streamed.total_energy.to_bits()
         );
-        assert_eq!(materialized.stats, streamed.stats);
-        assert_telemetry_eq(&materialized.telemetry, &streamed.telemetry);
-    }
-
-    /// Telemetry equality modulo the `decision_seconds_*` percentiles,
-    /// which sample real wall-clock scheduler time and so differ between
-    /// otherwise bit-identical runs.
-    fn assert_telemetry_eq(a: &amrm_metrics::TelemetrySummary, b: &amrm_metrics::TelemetrySummary) {
-        let mut a = a.clone();
-        let mut b = b.clone();
-        a.decision_seconds_p50 = 0.0;
-        a.decision_seconds_p95 = 0.0;
-        a.decision_seconds_p99 = 0.0;
-        a.decision_seconds_hist = Default::default();
-        b.decision_seconds_p50 = 0.0;
-        b.decision_seconds_p95 = 0.0;
-        b.decision_seconds_p99 = 0.0;
-        b.decision_seconds_hist = Default::default();
-        assert_eq!(a, b);
+        assert_eq!(materialized, streamed);
     }
 
     fn diurnal_fixture(spec: &StreamSpec) -> Vec<ScenarioRequest> {
@@ -1650,38 +1611,11 @@ mod tests {
     }
 
     #[test]
-    fn without_trace_changes_nothing_but_the_bulk() {
-        let spec = StreamSpec {
-            requests: 40,
-            slack_range: (1.3, 2.2),
-        };
-        let stream = poisson_stream(&lib(), 2.0, &spec, 31);
-        let full = simulate(BatchK(2), &stream);
-        let lean = Simulation::new(
-            scenarios::platform(),
-            MmkpMdf::new(),
-            ReactivationPolicy::OnArrival,
-            BatchK(2),
-            &stream,
-        )
-        .without_trace()
-        .run();
-        assert_eq!(full.admissions, lean.admissions);
-        assert_eq!(full.total_energy.to_bits(), lean.total_energy.to_bits());
-        assert_eq!(full.stats, lean.stats);
-        assert_telemetry_eq(&full.telemetry, &lean.telemetry);
-        assert!(!full.trace.segments().is_empty());
-        assert!(lean.trace.segments().is_empty());
-        assert!(!full.admitted_jobs.is_empty());
-        assert!(lean.admitted_jobs.is_empty());
-    }
-
-    #[test]
     fn aggregated_outcome_equals_the_fold_of_full_records() {
         // The flat-memory contract: every aggregate counter must equal
         // the corresponding fold over the recording run's per-request
-        // records, and everything shared (energy bits, stats, telemetry)
-        // must be untouched by the mode switch.
+        // records, and the outcome must equal the recording run's with
+        // its bulk (per-request records, trace, admitted jobs) cleared.
         let spec = StreamSpec {
             requests: 120,
             slack_range: (1.2, 2.5),
@@ -1701,17 +1635,22 @@ mod tests {
         // Drops are decided (rejected) records, so the recording run has
         // one record per request regardless of expiries.
         assert_eq!(full.admissions.len(), spec.requests);
-        assert_eq!(flat.admissions, Vec::new());
-        assert_eq!(flat.offered, full.admissions.len());
+        assert_eq!(full.offered, full.admissions.len());
         assert_eq!(
-            flat.accepted_total,
+            full.accepted_total,
             full.admissions.iter().filter(|(_, ok)| *ok).count()
         );
-        assert_eq!(flat.queue_deadline_drops, full.queue_deadline_drops);
+        assert!(!full.trace.segments().is_empty());
+        assert!(!full.admitted_jobs.is_empty());
         assert_eq!(flat.total_energy.to_bits(), full.total_energy.to_bits());
-        assert_eq!(flat.end_time.to_bits(), full.end_time.to_bits());
-        assert_eq!(flat.stats, full.stats);
-        assert_telemetry_eq(&flat.telemetry, &full.telemetry);
+        let cleared = SimOutcome {
+            admissions: Vec::new(),
+            trace: Schedule::default(),
+            admitted_jobs: JobSet::default(),
+            peak_live_requests: flat.peak_live_requests,
+            ..full.clone()
+        };
+        assert_eq!(flat, cleared);
 
         // Flat memory: recycled slots keep the high-water mark far below
         // the stream length, while the recording run pins every slot.

@@ -21,7 +21,7 @@
 use amrm::baselines::{ExMem, MappingCache};
 use amrm::core::{
     AdaptiveBatch, AdmissionPolicy, BatchK, Immediate, ReactivationPolicy, SearchBudget,
-    SlackAware, TraceSink, WindowTau,
+    SlackAware, WindowTau,
 };
 use amrm::metrics::journal::{EventKind, JournalConfig};
 use amrm::model::AppRef;
@@ -131,8 +131,7 @@ fn run_journaled(stream: &[ScenarioRequest], cache: Option<MappingCache>) -> (Si
         Some(cache) => ExMem::new().with_cache(cache),
         None => ExMem::new(),
     };
-    let config = JournalConfig::default();
-    let mut sim = Simulation::new(
+    Simulation::new(
         scenarios::platform(),
         scheduler,
         ReactivationPolicy::OnArrival,
@@ -143,9 +142,9 @@ fn run_journaled(stream: &[ScenarioRequest], cache: Option<MappingCache>) -> (Si
     // replay is the *exact* path served from proofs, and the
     // zero-truncation precondition below is what makes cold-vs-warm
     // bit-identity a theorem instead of a coincidence.
-    .with_search_budget(SearchBudget::nodes(SearchBudget::ONLINE_WORK_UNITS));
-    sim.install_journal(TraceSink::enabled(config), config.sample);
-    sim.run_with_scheduler()
+    .with_search_budget(SearchBudget::nodes(SearchBudget::ONLINE_WORK_UNITS))
+    .with_journal(JournalConfig::default())
+    .run_with_scheduler()
 }
 
 #[test]

@@ -4,11 +4,11 @@
 //! `Simulation` with extra bookkeeping: every request routes to shard 0
 //! and the lockstep epochs merely chop the stream into arbitrary-sized
 //! injection batches.  That degenerate case must be *bit-identical* to
-//! the plain batch kernel — admissions, accumulated energy (raw f64
-//! bits), end time, counters, drops and the executed trace — for
-//! **every** scheduler in the standard registry, at every epoch length.
-//! Anything less means the dispatcher tier itself distorts results, and
-//! no cross-policy comparison it produces can be trusted.
+//! the plain batch kernel — the whole outcome, with accumulated energy
+//! also compared as raw f64 bits — for **every** scheduler in the
+//! standard registry, at every epoch length. Anything less means the
+//! dispatcher tier itself distorts results, and no cross-policy
+//! comparison it produces can be trusted.
 //!
 //! The second gate is determinism: the dispatcher fans shards out over a
 //! worker pool, so the merged outcome must not depend on the pool width.
@@ -71,13 +71,9 @@ fn one_shard_federation(
         .run(stream)
 }
 
-/// Full-outcome equality modulo the `decision_seconds_*` telemetry
-/// percentiles, which sample real wall-clock scheduler time.
+/// Whole-outcome equality, plus the energy's raw bits (`==` on f64
+/// equates −0.0 and 0.0).
 fn assert_bit_identical(label: &str, federated: &SimOutcome, reference: &SimOutcome) {
-    assert_eq!(
-        federated.admissions, reference.admissions,
-        "{label}: admissions diverged"
-    );
     assert_eq!(
         federated.total_energy.to_bits(),
         reference.total_energy.to_bits(),
@@ -85,31 +81,7 @@ fn assert_bit_identical(label: &str, federated: &SimOutcome, reference: &SimOutc
         federated.total_energy,
         reference.total_energy
     );
-    assert_eq!(
-        federated.end_time.to_bits(),
-        reference.end_time.to_bits(),
-        "{label}: end time diverged"
-    );
-    assert_eq!(
-        federated.stats, reference.stats,
-        "{label}: counters diverged"
-    );
-    assert_eq!(
-        federated.queue_deadline_drops, reference.queue_deadline_drops,
-        "{label}: drops diverged"
-    );
-    assert_eq!(federated.trace, reference.trace, "{label}: trace diverged");
-    let mut a = federated.telemetry.clone();
-    let mut b = reference.telemetry.clone();
-    a.decision_seconds_p50 = 0.0;
-    a.decision_seconds_p95 = 0.0;
-    a.decision_seconds_p99 = 0.0;
-    a.decision_seconds_hist = Default::default();
-    b.decision_seconds_p50 = 0.0;
-    b.decision_seconds_p95 = 0.0;
-    b.decision_seconds_p99 = 0.0;
-    b.decision_seconds_hist = Default::default();
-    assert_eq!(a, b, "{label}: telemetry diverged");
+    assert_eq!(federated, reference, "{label}: outcome diverged");
 }
 
 #[test]

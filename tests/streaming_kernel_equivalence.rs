@@ -2,16 +2,16 @@
 //!
 //! `Simulation::from_stream` pulls arrivals one ahead of the clock from a
 //! lazy iterator instead of materializing the whole request vector. That
-//! path must be *bit-identical* to `Simulation::new` over the collected
-//! stream — admissions, accumulated energy (raw f64 bits), end time,
-//! counters, drops and the executed trace — for **every** scheduler in
-//! the standard registry, under the online search budget the profile
-//! harness uses. The lean (`without_trace`) builder must change only the
-//! bulk outcome fields, never a decision.
+//! path must produce an *equal* outcome to `Simulation::new` over the
+//! collected stream — the whole `SimOutcome`, with accumulated energy
+//! also compared as raw f64 bits — for **every** scheduler in the
+//! standard registry, under the online search budget the profile harness
+//! uses. The lean aggregated mode must change only the bulk outcome
+//! fields, never a decision.
 
 use amrm::baselines::standard_registry;
 use amrm::core::{Immediate, ReactivationPolicy, SearchBudget};
-use amrm::model::AppRef;
+use amrm::model::{AppRef, JobSet, Schedule};
 use amrm::sim::{SimOutcome, Simulation};
 use amrm::workload::{scenarios, ArrivalStream, ScenarioRequest, StreamSpec};
 
@@ -43,7 +43,7 @@ fn materialized_outcome(name: &str, stream: &[ScenarioRequest]) -> SimOutcome {
     .run()
 }
 
-fn streamed_outcome(name: &str, seed: u64, lean: bool) -> SimOutcome {
+fn streamed_outcome(name: &str, seed: u64, aggregated: bool) -> SimOutcome {
     let registry = standard_registry();
     let sim = Simulation::from_stream(
         scenarios::platform(),
@@ -53,16 +53,12 @@ fn streamed_outcome(name: &str, seed: u64, lean: bool) -> SimOutcome {
         diurnal(seed),
     )
     .with_search_budget(SearchBudget::online());
-    if lean { sim.without_trace() } else { sim }.run()
+    if aggregated { sim.aggregated() } else { sim }.run()
 }
 
-/// Full-outcome equality modulo the `decision_seconds_*` telemetry
-/// percentiles, which sample real wall-clock scheduler time.
+/// Whole-outcome equality, plus the energy's raw bits (`==` on f64
+/// equates −0.0 and 0.0).
 fn assert_bit_identical(name: &str, seed: u64, streamed: &SimOutcome, reference: &SimOutcome) {
-    assert_eq!(
-        streamed.admissions, reference.admissions,
-        "{name}/seed {seed}: admissions diverged"
-    );
     assert_eq!(
         streamed.total_energy.to_bits(),
         reference.total_energy.to_bits(),
@@ -70,30 +66,7 @@ fn assert_bit_identical(name: &str, seed: u64, streamed: &SimOutcome, reference:
         streamed.total_energy,
         reference.total_energy
     );
-    assert_eq!(
-        streamed.end_time.to_bits(),
-        reference.end_time.to_bits(),
-        "{name}/seed {seed}: end time diverged"
-    );
-    assert_eq!(
-        streamed.stats, reference.stats,
-        "{name}/seed {seed}: counters diverged"
-    );
-    assert_eq!(
-        streamed.queue_deadline_drops, reference.queue_deadline_drops,
-        "{name}/seed {seed}: drops diverged"
-    );
-    let mut a = streamed.telemetry.clone();
-    let mut b = reference.telemetry.clone();
-    a.decision_seconds_p50 = 0.0;
-    a.decision_seconds_p95 = 0.0;
-    a.decision_seconds_p99 = 0.0;
-    a.decision_seconds_hist = Default::default();
-    b.decision_seconds_p50 = 0.0;
-    b.decision_seconds_p95 = 0.0;
-    b.decision_seconds_p99 = 0.0;
-    b.decision_seconds_hist = Default::default();
-    assert_eq!(a, b, "{name}/seed {seed}: telemetry diverged");
+    assert_eq!(streamed, reference, "{name}/seed {seed}: outcome diverged");
 }
 
 #[test]
@@ -105,10 +78,6 @@ fn lazy_kernel_is_bit_identical_for_every_registry_scheduler() {
             let reference = materialized_outcome(name, &stream);
             let streamed = streamed_outcome(name, seed, false);
             assert_bit_identical(name, seed, &streamed, &reference);
-            assert_eq!(
-                streamed.trace, reference.trace,
-                "{name}/seed {seed}: executed trace diverged"
-            );
         }
     }
 }
@@ -121,8 +90,16 @@ fn lean_mode_preserves_every_decision() {
     for (name, _) in registry.iter() {
         let reference = materialized_outcome(name, &stream);
         let lean = streamed_outcome(name, seed, true);
-        assert_bit_identical(name, seed, &lean, &reference);
-        // Lean mode skips only the bulk per-job outcome state.
-        assert!(lean.admitted_jobs.is_empty());
+        // Aggregated mode skips only the bulk per-request outcome state
+        // and recycles request slots.
+        assert!(lean.peak_live_requests <= reference.peak_live_requests);
+        let cleared = SimOutcome {
+            admissions: Vec::new(),
+            trace: Schedule::default(),
+            admitted_jobs: JobSet::default(),
+            peak_live_requests: lean.peak_live_requests,
+            ..reference
+        };
+        assert_bit_identical(name, seed, &lean, &cleared);
     }
 }
