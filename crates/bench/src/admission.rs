@@ -1,42 +1,54 @@
-//! Admission-policy A/B evaluation: every registered scheduler crossed
-//! with every batched-admission policy on seeded request streams.
+//! The stream × policy × scheduler grid every `repro` grid runs on, and
+//! the admission-policy A/B report built from it.
 //!
-//! The grid quantifies the lever the event kernel exposes — *when and how
-//! many* requests reach the mapper per activation — in the three
-//! currencies that matter online: acceptance rate, energy per admitted
-//! job, and scheduler activations. Policies are supplied as **boxed
-//! factories** ([`PolicyFactory`]): the adaptive ones are stateful, so
-//! every grid cell gets a fresh instance. [`admission_grid`] produces the
-//! cells (now labelled by *stream* as well, so steady Poisson and bursty
-//! shapes sit side by side), [`admission_report`] renders them, and the
-//! `repro` binary embeds them — including each cell's
-//! [`TelemetrySummary`] aggregates — in the perf baseline
-//! (`BENCH_baseline.json`) whenever a suite run writes JSON.
+//! A grid cell is one materialized request stream crossed with one
+//! admission policy and one scheduler, scored in the currencies that
+//! matter online: acceptance rate, energy per admitted job, and
+//! scheduler activations. [`run_cell`] is the only place the bench crate
+//! builds a [`Simulation`] over a materialized stream: it attaches the
+//! observation-only journal (for the exact path's truncation / rank-prune
+//! / warm-hit aggregates), drains the thread-local instrumentation
+//! counters around the run, and condenses the outcome into a [`Cell`].
+//! [`run_grid`] fans cells out over OS threads — streams outermost, then
+//! policies, schedulers in registry order innermost. The load sweep, the
+//! parameter fit and the exact-path bench call these too.
+//!
+//! Policies are supplied as **boxed factories** ([`PolicyFactory`]): the
+//! adaptive ones are stateful, so every cell gets a fresh instance.
+//! [`admission_report`] renders a grid, and the `repro` binary embeds the
+//! cells — each with its counters and [`TelemetrySummary`] aggregates — in
+//! the perf baseline (`BENCH_baseline.json`) whenever a suite run writes
+//! JSON.
 
 use amrm_core::fanout::for_each_cell;
 use amrm_core::{
-    AdaptiveBatch, AdmissionPolicy, BatchK, Immediate, ReactivationPolicy, SchedulerRegistry,
-    SearchBudget, SlackAware, WindowTau,
+    AdaptiveBatch, AdmissionPolicy, BatchK, Immediate, ReactivationPolicy, Scheduler,
+    SchedulerRegistry, SearchBudget, SlackAware, WindowTau,
 };
 use amrm_metrics::journal::{EventKind, JournalConfig};
-use amrm_metrics::{TelemetrySummary, TextTable};
+use amrm_metrics::{instrument, CounterSnapshot, TelemetrySummary, TextTable};
+use amrm_model::AppRef;
 use amrm_platform::Platform;
-use amrm_sim::Simulation;
-use amrm_workload::ScenarioRequest;
+use amrm_sim::{SimOutcome, Simulation};
+use amrm_workload::{ScenarioRequest, StreamSpec};
 use serde::{Deserialize, Serialize};
 
 /// A thread-shareable factory for (possibly stateful) admission policies:
-/// each grid cell and load-sweep point calls it for a fresh instance.
+/// each grid cell calls it for a fresh instance.
 pub type PolicyFactory = Box<dyn Fn() -> Box<dyn AdmissionPolicy> + Send + Sync>;
 
-/// One cell of the stream × policy × scheduler grid.
+/// Deadline slack range of the standard grid streams.
+pub const STREAM_SLACK: (f64, f64) = (1.5, 3.0);
+
+/// One cell of a stream × policy × scheduler grid.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct AdmissionCell {
-    /// Label of the request stream the cell ran on (e.g. `"poisson"`).
+pub struct Cell {
+    /// Label of the request stream the cell ran on (e.g. `"poisson"`,
+    /// `"poisson@2"` in a load sweep).
     pub stream: String,
     /// Admission-policy label (e.g. `"BatchK(4)"`), stable across runs.
     pub policy: String,
-    /// Scheduler (registry) name.
+    /// Scheduler name: the registry name in a [`run_grid`] cell.
     pub scheduler: String,
     /// Requests offered to the runtime manager.
     pub requests: usize,
@@ -61,6 +73,10 @@ pub struct AdmissionCell {
     /// Exact-path activations that served at least one warm-start
     /// (disk-loaded) mapping-cache proof.
     pub cache_warm_hits: u64,
+    /// Hot-path instrumentation counters for this cell alone: the
+    /// thread-local counters are drained around every run, so cells
+    /// sharing a worker thread do not bleed counts into each other.
+    pub counters: CounterSnapshot,
     /// End-of-run telemetry aggregates (queue-wait percentiles, EWMA
     /// utilization and arrival rate, rolling acceptance, …).
     pub telemetry: TelemetrySummary,
@@ -79,32 +95,34 @@ pub fn standard_policies() -> Vec<PolicyFactory> {
     ]
 }
 
-/// The seeded streams the standard A/B grid runs on — one definition
-/// shared by the `repro` binary and the test pinning the committed
-/// baseline's reproducibility claim, so tuning the streams cannot
-/// silently decouple the two: a steady Poisson stream (mean 2 s — dense
-/// enough that a size-4 batch fills well inside a request's deadline
-/// slack) and a bursty on/off stream (~1 s inter-arrivals for 15 s, then
-/// ~8 s lulls) whose load swings are what the adaptive policies exploit.
-///
-/// When EX-MEM runs in the grid its exponential online search bounds the
-/// stream length (`with_exmem`); without it the heuristics get
-/// full-length streams.
-pub fn standard_streams(
-    library: &[amrm_model::AppRef],
-    quick: bool,
-    seed: u64,
-    with_exmem: bool,
-) -> Vec<(&'static str, Vec<ScenarioRequest>)> {
-    let requests = match (with_exmem, quick) {
+/// Requests per standard grid stream. When EX-MEM runs in the grid its
+/// exponential online search bounds the stream length (`with_exmem`);
+/// without it the heuristics get full-length streams.
+pub fn grid_requests(quick: bool, with_exmem: bool) -> usize {
+    match (with_exmem, quick) {
         (true, true) => 30,
         (true, false) => 60,
         (false, true) => 120,
         (false, false) => 300,
-    };
-    let spec = amrm_workload::StreamSpec {
+    }
+}
+
+/// The seeded streams the standard A/B grid runs on — one definition
+/// shared by the `repro` binary, the parameter fit, the exact-path bench
+/// and the tests pinning the committed baseline's reproducibility claims,
+/// so tuning the streams cannot silently decouple them: a steady Poisson
+/// stream (mean 2 s — dense enough that a size-4 batch fills well inside
+/// a request's deadline slack) and a bursty on/off stream (~1 s
+/// inter-arrivals for 15 s, then ~8 s lulls) whose load swings are what
+/// the adaptive policies exploit.
+pub fn standard_streams(
+    library: &[AppRef],
+    requests: usize,
+    seed: u64,
+) -> Vec<(&'static str, Vec<ScenarioRequest>)> {
+    let spec = StreamSpec {
         requests,
-        slack_range: (1.5, 3.0),
+        slack_range: STREAM_SLACK,
     };
     vec![
         (
@@ -118,12 +136,71 @@ pub fn standard_streams(
     ]
 }
 
-/// Runs every (stream × policy × scheduler) combination and collects one
-/// [`AdmissionCell`] per combination — streams outermost, then policies,
-/// schedulers in registry order innermost. Cells are independent
-/// simulations, so they are fanned out over `threads` OS threads via the
-/// shared [`for_each_cell`] work index (a slow exhaustive cell would
-/// otherwise serialize the whole grid).
+/// Runs one cell: `stream` through `scheduler` under `policy`, with every
+/// activation bounded by `budget`. Returns the cell (labelled with
+/// [`Scheduler::name`]), the whole outcome, and the scheduler for its
+/// post-run state (EX-MEM's mapping cache).
+///
+/// The journal is always attached. It is observation-only (sampling
+/// cannot perturb the simulation), so it changes no decision; it is what
+/// surfaces the exact path's truncation / rank-prune / warm-hit
+/// aggregates, which are exact counters even when the bounded ring
+/// evicts events.
+///
+/// # Panics
+///
+/// Panics if the policy is invalid or a request's deadline precedes its
+/// arrival.
+pub fn run_cell<S: Scheduler, A: AdmissionPolicy>(
+    platform: &Platform,
+    (stream_label, stream): (&str, &[ScenarioRequest]),
+    scheduler: S,
+    policy: A,
+    budget: SearchBudget,
+) -> (Cell, SimOutcome, S) {
+    let policy_label = policy.label();
+    let scheduler_name = scheduler.name().to_string();
+    let _ = instrument::take();
+    let (outcome, scheduler) = Simulation::new(
+        platform.clone(),
+        scheduler,
+        ReactivationPolicy::OnArrival,
+        policy,
+        stream,
+    )
+    .with_search_budget(budget)
+    .with_journal(JournalConfig::default())
+    .run_with_scheduler();
+    let counters = instrument::take();
+    let journal = outcome.journal.as_ref().expect("journal installed");
+    let cell = Cell {
+        stream: stream_label.to_string(),
+        policy: policy_label,
+        scheduler: scheduler_name,
+        requests: stream.len(),
+        accepted: outcome.accepted(),
+        acceptance_rate: outcome.acceptance_rate(),
+        energy_per_job: outcome.energy_per_job(),
+        activations: outcome.stats.activations,
+        queue_deadline_drops: outcome.queue_deadline_drops,
+        deadline_misses: outcome.stats.deadline_misses,
+        exact_truncations: journal.count_of(EventKind::Truncation),
+        rank_pruned: journal.count_of(EventKind::RankPrune),
+        cache_warm_hits: journal.count_of(EventKind::CacheWarmHit),
+        counters,
+        telemetry: outcome.telemetry.clone(),
+    };
+    (cell, outcome, scheduler)
+}
+
+/// Runs every (stream × policy × scheduler) combination through
+/// [`run_cell`] and collects one [`Cell`] per combination — streams
+/// outermost, then policies, schedulers in registry order innermost.
+/// Cells are independent simulations, so they are fanned out over
+/// `threads` OS threads via the shared [`for_each_cell`] work index (a
+/// slow exhaustive cell would otherwise serialize the whole grid). Each
+/// cell is labelled with its registry name, which tells apart two
+/// configurations of one algorithm.
 ///
 /// `budget` is the per-activation [`SearchBudget`] every cell's runtime
 /// manager forwards to its scheduler. The repro binary passes
@@ -134,15 +211,14 @@ pub fn standard_streams(
 ///
 /// Panics if `threads` is zero, the registry, policy or stream set is
 /// empty, or a policy factory produces an invalid policy.
-pub fn admission_grid(
+pub fn run_grid(
     platform: &Platform,
     registry: &SchedulerRegistry,
     policies: &[PolicyFactory],
     streams: &[(&str, &[ScenarioRequest])],
     threads: usize,
     budget: SearchBudget,
-) -> Vec<AdmissionCell> {
-    assert!(threads > 0, "need at least one worker thread");
+) -> Vec<Cell> {
     assert!(!registry.is_empty(), "registry must not be empty");
     assert!(!policies.is_empty(), "need at least one admission policy");
     assert!(!streams.is_empty(), "need at least one request stream");
@@ -153,56 +229,18 @@ pub fn admission_grid(
     }
     let columns = registry.len();
     let per_stream = policies.len() * columns;
-    let total = streams.len() * per_stream;
     let names = registry.names();
-    let run_cell = |cell: usize| -> AdmissionCell {
-        let (stream_label, stream) = streams[cell / per_stream];
-        let policy_idx = (cell % per_stream) / columns;
-        let sched_idx = cell % columns;
-        let policy = policies[policy_idx]();
-        let policy_label = policy.label();
+    for_each_cell(streams.len() * per_stream, threads, |i| {
+        let sched_idx = i % columns;
         let scheduler = registry
             .create_at(sched_idx)
             .expect("scheduler index in range");
-        // The journal is observation-only (sampling cannot perturb the
-        // simulation), so installing it per cell changes no decision; it
-        // is what surfaces the exact path's truncation / rank-prune /
-        // warm-hit aggregates, which are exact counters even when the
-        // bounded ring evicts events.
-        let outcome = Simulation::new(
-            platform.clone(),
-            scheduler,
-            ReactivationPolicy::OnArrival,
-            policy,
-            stream,
-        )
-        .with_search_budget(budget)
-        .with_journal(JournalConfig::default())
-        .run();
-        let journal = outcome.journal.as_ref().expect("journal installed");
-        let (exact_truncations, rank_pruned, cache_warm_hits) = (
-            journal.count_of(EventKind::Truncation),
-            journal.count_of(EventKind::RankPrune),
-            journal.count_of(EventKind::CacheWarmHit),
-        );
-        AdmissionCell {
-            stream: stream_label.to_string(),
-            policy: policy_label,
-            scheduler: names[sched_idx].to_string(),
-            requests: stream.len(),
-            accepted: outcome.accepted(),
-            acceptance_rate: outcome.acceptance_rate(),
-            energy_per_job: outcome.energy_per_job(),
-            activations: outcome.stats.activations,
-            queue_deadline_drops: outcome.queue_deadline_drops,
-            deadline_misses: outcome.stats.deadline_misses,
-            exact_truncations,
-            rank_pruned,
-            cache_warm_hits,
-            telemetry: outcome.telemetry,
-        }
-    };
-    for_each_cell(total, threads, run_cell)
+        let policy = policies[(i % per_stream) / columns]();
+        let (mut cell, _, _) =
+            run_cell(platform, streams[i / per_stream], scheduler, policy, budget);
+        cell.scheduler = names[sched_idx].to_string();
+        cell
+    })
 }
 
 /// Renders a grid as a text table, one row per (stream, policy,
@@ -210,7 +248,7 @@ pub fn admission_grid(
 /// log-bucketed histogram — exact over the whole run in O(1) memory —
 /// rather than the telemetry's bounded recent-window percentile ring
 /// (which remains the adaptive policies' control signal).
-pub fn admission_report(cells: &[AdmissionCell]) -> String {
+pub fn admission_report(cells: &[Cell]) -> String {
     let mut out = String::from(
         "Admission-policy A/B: fixed and adaptive batching vs the paper's per-request discipline\n\n",
     );
@@ -258,7 +296,7 @@ pub fn admission_report(cells: &[AdmissionCell]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amrm_baselines::{standard_registry, FIXED_NAME, MDF_NAME};
+    use amrm_baselines::{standard_registry, FIXED_NAME, MDF_NAME, META_NAME};
     use amrm_workload::{poisson_stream, scenarios, StreamSpec};
 
     fn small_stream() -> Vec<ScenarioRequest> {
@@ -283,7 +321,7 @@ mod tests {
         let registry = standard_registry().subset(&[MDF_NAME, FIXED_NAME]);
         let policies = standard_policies();
         let stream = small_stream();
-        let cells = admission_grid(
+        let cells = run_grid(
             &scenarios::platform(),
             &registry,
             &policies,
@@ -318,7 +356,7 @@ mod tests {
         let registry = standard_registry().subset(&[MDF_NAME]);
         let a = small_stream();
         let b = scenarios::scenario_s1();
-        let cells = admission_grid(
+        let cells = run_grid(
             &scenarios::platform(),
             &registry,
             &fixed_policies(),
@@ -334,24 +372,24 @@ mod tests {
 
     #[test]
     fn parallel_and_serial_grids_agree() {
-        let registry = standard_registry().subset(&[MDF_NAME, FIXED_NAME]);
+        let registry = standard_registry().subset(&[MDF_NAME, FIXED_NAME, META_NAME]);
         let stream = small_stream();
         let streams: &[(&str, &[ScenarioRequest])] = &[("poisson", &stream)];
-        let serial = admission_grid(
+        let serial = run_grid(
             &scenarios::platform(),
             &registry,
             &standard_policies(),
             streams,
             1,
-            SearchBudget::unbounded(),
+            SearchBudget::online(),
         );
-        let parallel = admission_grid(
+        let parallel = run_grid(
             &scenarios::platform(),
             &registry,
             &standard_policies(),
             streams,
             4,
-            SearchBudget::unbounded(),
+            SearchBudget::online(),
         );
         assert_eq!(serial.len(), parallel.len());
         for (a, b) in serial.iter().zip(&parallel) {
@@ -359,7 +397,10 @@ mod tests {
             assert_eq!(a.scheduler, b.scheduler);
             assert_eq!(a.accepted, b.accepted);
             assert_eq!(a.activations, b.activations);
+            assert_eq!(a.acceptance_rate.to_bits(), b.acceptance_rate.to_bits());
             assert_eq!(a.energy_per_job.to_bits(), b.energy_per_job.to_bits());
+            assert_eq!(a.counters, b.counters);
+            assert_eq!(a.telemetry, b.telemetry);
         }
     }
 
@@ -371,7 +412,7 @@ mod tests {
             Box::new(|| Box::new(Immediate)),
             Box::new(|| Box::new(BatchK(4))),
         ];
-        let cells = admission_grid(
+        let cells = run_grid(
             &scenarios::platform(),
             &registry,
             &policies,
@@ -389,7 +430,7 @@ mod tests {
     fn report_lists_all_cells() {
         let registry = standard_registry().subset(&[MDF_NAME]);
         let stream = small_stream();
-        let cells = admission_grid(
+        let cells = run_grid(
             &scenarios::platform(),
             &registry,
             &standard_policies(),
@@ -412,7 +453,7 @@ mod tests {
         let registry = standard_registry().subset(&[MDF_NAME]);
         let stream = small_stream();
         let policies: Vec<PolicyFactory> = vec![Box::new(|| Box::new(BatchK(2)))];
-        let cells = admission_grid(
+        let cells = run_grid(
             &scenarios::platform(),
             &registry,
             &policies,
@@ -421,7 +462,7 @@ mod tests {
             SearchBudget::unbounded(),
         );
         let text = serde_json::to_string(&cells).unwrap();
-        let back: Vec<AdmissionCell> = serde_json::from_str(&text).unwrap();
+        let back: Vec<Cell> = serde_json::from_str(&text).unwrap();
         assert_eq!(back.len(), cells.len());
         assert_eq!(back[0].stream, cells[0].stream);
         assert_eq!(back[0].policy, cells[0].policy);
@@ -439,7 +480,7 @@ mod tests {
         // same `standard_streams` the repro binary runs.
         let platform = amrm_platform::Platform::odroid_xu4();
         let library = amrm_dataflow::apps::benchmark_suite(&platform);
-        let streams = standard_streams(&library, true, 2020, true);
+        let streams = standard_streams(&library, grid_requests(true, true), 2020);
         let (_, stream) = streams
             .into_iter()
             .find(|(label, _)| *label == "bursty")
@@ -450,7 +491,7 @@ mod tests {
             Box::new(|| Box::new(WindowTau(2.0))),
             Box::new(|| Box::new(AdaptiveBatch::default())),
         ];
-        let cells = admission_grid(
+        let cells = run_grid(
             &platform,
             &registry,
             &policies,
@@ -481,13 +522,13 @@ mod tests {
         // grid — every standard policy — completes in seconds.
         let platform = amrm_platform::Platform::odroid_xu4();
         let library = amrm_dataflow::apps::benchmark_suite(&platform);
-        let streams = standard_streams(&library, true, 2020, true);
+        let streams = standard_streams(&library, grid_requests(true, true), 2020);
         let (_, stream) = streams
             .into_iter()
             .find(|(label, _)| *label == "bursty")
             .expect("standard streams include a bursty shape");
         let registry = standard_registry().subset(&[amrm_baselines::EXMEM_NAME]);
-        let cells = admission_grid(
+        let cells = run_grid(
             &platform,
             &registry,
             &standard_policies(),
@@ -522,13 +563,13 @@ mod tests {
         // scheduler's minus 0.02, and strictly beats the worst one.
         let platform = amrm_platform::Platform::odroid_xu4();
         let library = amrm_dataflow::apps::benchmark_suite(&platform);
-        let streams = standard_streams(&library, true, 2020, true);
+        let streams = standard_streams(&library, grid_requests(true, true), 2020);
         let stream_refs: Vec<(&str, &[ScenarioRequest])> = streams
             .iter()
             .map(|(label, stream)| (*label, stream.as_slice()))
             .collect();
         let registry = standard_registry();
-        let cells = admission_grid(
+        let cells = run_grid(
             &platform,
             &registry,
             &standard_policies(),
@@ -581,7 +622,7 @@ mod tests {
         use amrm_baselines::MetaScheduler;
         let platform = amrm_platform::Platform::odroid_xu4();
         let library = amrm_dataflow::apps::benchmark_suite(&platform);
-        let streams = standard_streams(&library, true, 2020, true);
+        let streams = standard_streams(&library, grid_requests(true, true), 2020);
         let stream_refs: Vec<(&str, &[ScenarioRequest])> = streams
             .iter()
             .map(|(label, stream)| (*label, stream.as_slice()))
@@ -592,7 +633,7 @@ mod tests {
                 "META-fixed",
                 || Box::new(MetaScheduler::with_fixed_budget()),
             );
-        let cells = admission_grid(
+        let cells = run_grid(
             &platform,
             &registry,
             &standard_policies(),

@@ -1,11 +1,12 @@
 //! Machine-readable performance baselines.
 //!
 //! [`summarize`] condenses a [`SuiteEvaluation`] into per-scheduler
-//! feasibility, energy and search-time aggregates; [`write_json`] persists
-//! them (conventionally to `BENCH_baseline.json` in the repo root) so
-//! later changes have a recorded trajectory to compare against.
+//! feasibility, energy and search-time aggregates;
+//! [`write_json`](crate::write_json) persists them (conventionally to
+//! `BENCH_baseline.json` in the repo root) so later changes have a
+//! recorded trajectory to compare against, and [`read_json`] reads them
+//! back.
 
-use std::io::BufWriter;
 use std::path::Path;
 
 use amrm_baselines::EXMEM_NAME;
@@ -50,7 +51,7 @@ pub struct PerfBaseline {
     pub schedulers: Vec<SchedulerBaseline>,
     /// Admission-policy × scheduler grid on the seeded online stream
     /// (empty when the producing command skipped the online A/B).
-    pub admission: Vec<crate::admission::AdmissionCell>,
+    pub admission: Vec<crate::admission::Cell>,
     /// Streaming-kernel throughput cells (`repro profile`; empty when the
     /// producing command skipped the profile).
     pub profile: Vec<crate::profile::ProfileCell>,
@@ -116,16 +117,6 @@ pub fn summarize(
     }
 }
 
-/// Writes a baseline as pretty-printed JSON.
-///
-/// # Errors
-///
-/// Returns any I/O or serialization error.
-pub fn write_json(path: impl AsRef<Path>, baseline: &PerfBaseline) -> std::io::Result<()> {
-    let file = std::fs::File::create(path)?;
-    serde_json::to_writer_pretty(BufWriter::new(file), baseline).map_err(std::io::Error::other)
-}
-
 /// Reads a baseline back from JSON.
 ///
 /// # Errors
@@ -184,7 +175,7 @@ mod tests {
             slack_range: (1.3, 2.5),
         };
         let stream = amrm_workload::poisson_stream(&lib, 5.0, &spec, 13);
-        baseline.admission = crate::admission::admission_grid(
+        baseline.admission = crate::admission::run_grid(
             &scenarios::platform(),
             &standard_registry().subset(&[amrm_baselines::MDF_NAME]),
             &crate::admission::standard_policies(),
@@ -193,7 +184,7 @@ mod tests {
             amrm_core::SearchBudget::unbounded(),
         );
         let path = std::env::temp_dir().join("amrm_baseline_roundtrip.json");
-        write_json(&path, &baseline).unwrap();
+        crate::write_json(&path, &baseline).unwrap();
         let back = read_json(&path).unwrap();
         let _ = std::fs::remove_file(&path);
         assert_eq!(back.seed, 13);

@@ -64,7 +64,8 @@
 //!
 //! OPTIONS
 //!   --seed N         RNG seed for suite generation (default 2020)
-//!   --threads N      worker threads (default: available parallelism)
+//!   --threads N      worker threads, at least 1 (default: available
+//!                    parallelism)
 //!   --quick          divide all Table III counts by 10 (smoke run);
 //!                    shrinks the sweep grid and profile stream likewise
 //!   --requests N     profile stream length (profile only; overrides the
@@ -85,8 +86,9 @@
 //!   --suite-out F    save the generated suite as JSON
 //!   --json F         with suite commands: write per-scheduler energy/
 //!                    feasibility/search-time aggregates plus the
-//!                    admission-policy grid to F; with `sweep`: write the
-//!                    sweep cells to F
+//!                    admission-policy grid to F; with `sweep`, `tune`,
+//!                    `profile`, `shard`, `trace`, `exact` or `lint`: write
+//!                    that command's report to F
 //!   --schedulers L   comma-separated registry subset to evaluate (suite
 //!                    commands, ablation, admission and sweep; default:
 //!                    every registered scheduler). Excluding EX-MEM
@@ -94,7 +96,9 @@
 //!                    budgeted, the exhaustive reference bounds them)
 //! ```
 
+use std::fmt::Display;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 use amrm_baselines::{standard_registry, EXMEM_NAME};
 use amrm_bench::runner::evaluate_suite;
@@ -128,6 +132,16 @@ struct Options {
     lint_root: Option<String>,
 }
 
+/// Parses the value that follows `flag` on the command line.
+fn value<T: FromStr>(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    let raw = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
+    raw.parse()
+        .map_err(|e| format!("bad {flag} value `{raw}`: {e}"))
+}
+
 fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
         command: "all".to_string(),
@@ -149,71 +163,113 @@ fn parse_args() -> Result<Options, String> {
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
+        let args = &mut args;
         match arg.as_str() {
-            "--seed" => {
-                opts.seed = args
-                    .next()
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad seed: {e}"))?;
-            }
-            "--threads" => {
-                opts.threads = args
-                    .next()
-                    .ok_or("--threads needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad thread count: {e}"))?;
-            }
+            "--seed" => opts.seed = value(args, "--seed")?,
+            "--threads" => opts.threads = value(args, "--threads")?,
             "--quick" => opts.quick = true,
-            "--suite-out" => {
-                opts.suite_out = Some(args.next().ok_or("--suite-out needs a path")?);
-            }
-            "--json" => {
-                opts.json_out = Some(args.next().ok_or("--json needs a path")?);
-            }
+            "--suite-out" => opts.suite_out = Some(value(args, "--suite-out")?),
+            "--json" => opts.json_out = Some(value(args, "--json")?),
             "--schedulers" => {
-                let list = args.next().ok_or("--schedulers needs a list")?;
+                let list: String = value(args, "--schedulers")?;
                 opts.schedulers = Some(list.split(',').map(|s| s.trim().to_string()).collect());
             }
-            "--requests" => {
-                opts.requests = Some(
-                    args.next()
-                        .ok_or("--requests needs a value")?
-                        .parse()
-                        .map_err(|e| format!("bad request count: {e}"))?,
-                );
-            }
-            "--baseline" => {
-                opts.baseline_in = Some(args.next().ok_or("--baseline needs a path")?);
-            }
-            "--sample" => {
-                opts.sample = Some(
-                    args.next()
-                        .ok_or("--sample needs a value")?
-                        .parse()
-                        .map_err(|e| format!("bad sample divisor: {e}"))?,
-                );
-            }
-            "--out" => {
-                opts.trace_out = Some(args.next().ok_or("--out needs a path")?);
-            }
-            "--warm-cache" => {
-                opts.warm_cache = Some(args.next().ok_or("--warm-cache needs a path")?);
-            }
-            "--cache-out" => {
-                opts.cache_out = Some(args.next().ok_or("--cache-out needs a path")?);
-            }
-            "--root" => {
-                opts.lint_root = Some(args.next().ok_or("--root needs a directory")?);
-            }
-            "--help" | "-h" => {
-                return Err("help".to_string());
-            }
+            "--requests" => opts.requests = Some(value(args, "--requests")?),
+            "--baseline" => opts.baseline_in = Some(value(args, "--baseline")?),
+            "--sample" => opts.sample = Some(value(args, "--sample")?),
+            "--out" => opts.trace_out = Some(value(args, "--out")?),
+            "--warm-cache" => opts.warm_cache = Some(value(args, "--warm-cache")?),
+            "--cache-out" => opts.cache_out = Some(value(args, "--cache-out")?),
+            "--root" => opts.lint_root = Some(value(args, "--root")?),
+            "--help" | "-h" => return Err("help".to_string()),
             cmd if !cmd.starts_with('-') => opts.command = cmd.to_string(),
             other => return Err(format!("unknown option {other}")),
         }
     }
     Ok(opts)
+}
+
+/// Rejects flags the selected command would silently ignore, and counts
+/// no run can honour — before any work starts.
+fn check_flags(opts: &Options) -> Result<(), String> {
+    // (flag, given, the commands it applies to)
+    let scoped: [(&str, bool, &[&str]); 10] = [
+        (
+            "--json",
+            opts.json_out.is_some(),
+            &[
+                "fig2", "table4", "fig3", "fig4", "all", "sweep", "tune", "profile", "shard",
+                "trace", "lint", "exact",
+            ],
+        ),
+        (
+            "--suite-out",
+            opts.suite_out.is_some(),
+            &["table3", "fig2", "table4", "fig3", "fig4", "all"],
+        ),
+        (
+            "--schedulers",
+            opts.schedulers.is_some(),
+            &[
+                "fig2",
+                "table4",
+                "fig3",
+                "fig4",
+                "all",
+                "ablation",
+                "admission",
+                "sweep",
+            ],
+        ),
+        ("--requests", opts.requests.is_some(), &["profile"]),
+        ("--baseline", opts.baseline_in.is_some(), &["profile"]),
+        ("--sample", opts.sample.is_some(), &["trace"]),
+        ("--out", opts.trace_out.is_some(), &["trace"]),
+        ("--warm-cache", opts.warm_cache.is_some(), &["exact"]),
+        ("--cache-out", opts.cache_out.is_some(), &["exact"]),
+        ("--root", opts.lint_root.is_some(), &["lint"]),
+    ];
+    let command = opts.command.as_str();
+    for (flag, given, commands) in scoped {
+        if given && !commands.contains(&command) {
+            return Err(format!(
+                "{flag} only applies to {}, not `{command}`",
+                commands.join(", ")
+            ));
+        }
+    }
+    if opts.threads == 0 {
+        return Err("--threads must be at least 1".to_string());
+    }
+    if opts.requests == Some(0) {
+        return Err("--requests must be at least 1".to_string());
+    }
+    Ok(())
+}
+
+/// Writes `report` to the `--json` path, when one was given.
+fn write_artifact(
+    opts: &Options,
+    what: &str,
+    report: &impl serde::Serialize,
+) -> Result<(), String> {
+    if let Some(path) = &opts.json_out {
+        amrm_bench::write_json(path, report)
+            .map_err(|e| format!("cannot write {what} to {path}: {e}"))?;
+        eprintln!("{what} written to {path}");
+    }
+    Ok(())
+}
+
+/// Characterizes the application library on the reference platform.
+fn characterize() -> (Platform, Vec<AppRef>) {
+    let platform = Platform::odroid_xu4();
+    eprintln!(
+        "characterizing application library on {} ...",
+        platform.name()
+    );
+    let library = apps::benchmark_suite(&platform);
+    (platform, library)
 }
 
 /// Runs the stream × policy × scheduler admission grid for the `admission`
@@ -229,23 +285,23 @@ fn run_admission_grid(
     library: &[AppRef],
     registry: &SchedulerRegistry,
     opts: &Options,
-) -> Vec<admission::AdmissionCell> {
+) -> Vec<admission::Cell> {
     let with_exmem = registry.index_of(EXMEM_NAME).is_some();
-    let streams = admission::standard_streams(library, opts.quick, opts.seed, with_exmem);
+    let requests = admission::grid_requests(opts.quick, with_exmem);
+    let streams = admission::standard_streams(library, requests, opts.seed);
     let policies = admission::standard_policies();
     let stream_refs: Vec<(&str, &[amrm_workload::ScenarioRequest])> = streams
         .iter()
         .map(|(label, stream)| (*label, stream.as_slice()))
         .collect();
     eprintln!(
-        "running admission grid: {} streams × {} policies × {} schedulers ({}), {} requests each ...",
+        "running admission grid: {} streams × {} policies × {} schedulers ({}), {requests} requests each ...",
         streams.len(),
         policies.len(),
         registry.len(),
         registry.names().join(", "),
-        streams.first().map(|(_, s)| s.len()).unwrap_or(0)
     );
-    admission::admission_grid(
+    admission::run_grid(
         platform,
         registry,
         &policies,
@@ -295,389 +351,242 @@ fn main() -> ExitCode {
             };
         }
     };
-    let registry = match resolve_registry(&opts) {
-        Ok(r) => r,
+    match run(&opts) {
+        Ok(code) => code,
         Err(msg) => {
             eprintln!("error: {msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    // Reject flags the selected command would silently ignore.
-    let evaluates_suite = matches!(
-        opts.command.as_str(),
-        "fig2" | "table4" | "fig3" | "fig4" | "all"
-    );
-    if opts.json_out.is_some()
-        && !evaluates_suite
-        && opts.command != "sweep"
-        && opts.command != "tune"
-        && opts.command != "profile"
-        && opts.command != "shard"
-        && opts.command != "trace"
-        && opts.command != "exact"
-        && opts.command != "lint"
-    {
-        eprintln!(
-            "error: --json only applies to commands that evaluate the suite \
-             (fig2, table4, fig3, fig4, all), `sweep`, `tune`, `profile`, `shard`, \
-             `trace`, `lint` or `exact`, not `{}`",
-            opts.command
-        );
-        return ExitCode::FAILURE;
-    }
-    if opts.lint_root.is_some() && opts.command != "lint" {
-        eprintln!(
-            "error: --root only applies to `lint`, not `{}`",
-            opts.command
-        );
-        return ExitCode::FAILURE;
-    }
-    if (opts.warm_cache.is_some() || opts.cache_out.is_some()) && opts.command != "exact" {
-        eprintln!(
-            "error: --warm-cache/--cache-out only apply to `exact`, not `{}`",
-            opts.command
-        );
-        return ExitCode::FAILURE;
-    }
-    if (opts.sample.is_some() || opts.trace_out.is_some()) && opts.command != "trace" {
-        eprintln!(
-            "error: --sample/--out only apply to `trace`, not `{}`",
-            opts.command
-        );
-        return ExitCode::FAILURE;
-    }
-    if (opts.requests.is_some() || opts.baseline_in.is_some()) && opts.command != "profile" {
-        eprintln!(
-            "error: --requests/--baseline only apply to `profile`, not `{}`",
-            opts.command
-        );
-        return ExitCode::FAILURE;
-    }
-    if opts.requests == Some(0) {
-        eprintln!("error: --requests must be at least 1");
-        return ExitCode::FAILURE;
-    }
-    if opts.schedulers.is_some()
-        && !evaluates_suite
-        && opts.command != "ablation"
-        && opts.command != "admission"
-        && opts.command != "sweep"
-    {
-        eprintln!(
-            "error: --schedulers only applies to suite evaluation, `ablation`, `admission` \
-             or `sweep`, not `{}` (the tune search and the shard bench own their \
-             scheduler sets)",
-            opts.command
-        );
-        return ExitCode::FAILURE;
-    }
-
-    let needs_suite = matches!(
-        opts.command.as_str(),
-        "table3" | "fig2" | "table4" | "fig3" | "fig4" | "all"
-    );
-    if opts.suite_out.is_some() && !needs_suite {
-        eprintln!(
-            "error: --suite-out only applies to commands that generate the suite \
-             (table3, fig2, table4, fig3, fig4, all), not `{}`",
-            opts.command
-        );
-        return ExitCode::FAILURE;
-    }
-
-    if opts.command == "lint" {
-        // The binary is built from crates/bench, two levels below the
-        // workspace root that holds the sources and `lint.allow`.
-        let root = opts.lint_root.clone().unwrap_or_else(|| {
-            std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-                .ancestors()
-                .nth(2)
-                .expect("crates/bench sits two levels below the workspace root")
-                .display()
-                .to_string()
-        });
-        let report = match amrm_lint::run_lint(std::path::Path::new(&root)) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("error: lint pass failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        println!("{}", amrm_lint::report::render(&report));
-        if let Some(path) = &opts.json_out {
-            if let Err(e) = amrm_lint::report::write_json(path, &report) {
-                eprintln!("error: cannot write lint report to {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("lint report written to {path}");
-        }
-        return if report.is_clean() {
-            ExitCode::SUCCESS
-        } else {
             ExitCode::FAILURE
-        };
+        }
     }
+}
+
+fn run(opts: &Options) -> Result<ExitCode, String> {
+    let registry = resolve_registry(opts)?;
+    check_flags(opts)?;
     match opts.command.as_str() {
-        "table2" | "all" => println!("{}", reports::table2_report()),
-        _ => {}
+        "lint" => return run_lint(opts),
+        "table2" => println!("{}", reports::table2_report()),
+        "motivation" => println!("{}", reports::motivation_report()),
+        "ablation" => run_ablation(opts, registry),
+        "admission" => {
+            let (platform, library) = characterize();
+            let cells = run_admission_grid(&platform, &library, &registry, opts);
+            println!("{}", admission::admission_report(&cells));
+        }
+        "sweep" => run_sweep(opts, &registry)?,
+        "tune" => run_tune(opts)?,
+        "profile" => run_profile(opts)?,
+        "shard" => {
+            eprintln!(
+                "running sharded-federation bench: shard counts {:?} × 4 routing policies \
+                 (seed {}, {} dispatcher threads{}) ...",
+                amrm_bench::shard::WEAK_SHARD_COUNTS,
+                opts.seed,
+                opts.threads,
+                if opts.quick { ", quick" } else { "" }
+            );
+            let report = amrm_bench::shard::run_shard_bench(opts.quick, opts.seed, opts.threads);
+            println!("{}", amrm_bench::shard::shard_report(&report));
+            write_artifact(opts, "shard report", &report)?;
+        }
+        "trace" => run_trace(opts)?,
+        "exact" => run_exact(opts)?,
+        "table3" | "fig2" | "table4" | "fig3" | "fig4" | "all" => run_suite(opts, &registry)?,
+        other => return Err(format!("unknown command {other}")),
     }
-    if matches!(opts.command.as_str(), "motivation" | "all") {
+    Ok(ExitCode::SUCCESS)
+}
+
+fn run_lint(opts: &Options) -> Result<ExitCode, String> {
+    // The binary is built from crates/bench, two levels below the
+    // workspace root that holds the sources and `lint.allow`.
+    let root = opts.lint_root.clone().unwrap_or_else(|| {
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .ancestors()
+            .nth(2)
+            .expect("crates/bench sits two levels below the workspace root")
+            .display()
+            .to_string()
+    });
+    let report = amrm_lint::run_lint(std::path::Path::new(&root))
+        .map_err(|e| format!("lint pass failed: {e}"))?;
+    println!("{}", amrm_lint::report::render(&report));
+    if let Some(path) = &opts.json_out {
+        amrm_lint::report::write_json(path, &report)
+            .map_err(|e| format!("cannot write lint report to {path}: {e}"))?;
+        eprintln!("lint report written to {path}");
+    }
+    Ok(if report.is_clean() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    })
+}
+
+fn run_ablation(opts: &Options, registry: SchedulerRegistry) {
+    let platform = Platform::odroid_xu4();
+    let suite = amrm_bench::ablation::ablation_suite(opts.seed);
+    println!(
+        "{}",
+        amrm_bench::ablation::job_order_report(&suite, &amrm_workload::scenarios::platform())
+    );
+    // An explicit --schedulers subset overrides the default online
+    // registry (which is every scheduler except EX-MEM).
+    let online = if opts.schedulers.is_some() {
+        registry
+    } else {
+        amrm_bench::ablation::online_registry()
+    };
+    println!(
+        "{}",
+        amrm_bench::ablation::online_admission_report(&platform, opts.seed, &online)
+    );
+    println!("{}", amrm_bench::ablation::dvfs_report());
+}
+
+fn run_tune(opts: &Options) -> Result<(), String> {
+    let (platform, library) = characterize();
+    let tune_opts = tune::TuneOptions {
+        seed: opts.seed,
+        quick: opts.quick,
+        threads: opts.threads,
+    };
+    eprintln!(
+        "fitting adaptive-policy and META parameters (seed {}, {} threads{}) ...",
+        opts.seed,
+        opts.threads,
+        if opts.quick { ", quick" } else { "" }
+    );
+    let t0 = std::time::Instant::now();
+    let report = tune::tune_grid(&platform, &library, &tune_opts);
+    eprintln!("search finished in {:.1} s", t0.elapsed().as_secs_f64());
+    println!("{}", tune::tune_report(&report));
+    write_artifact(opts, "tune report", &report)
+}
+
+fn run_profile(opts: &Options) -> Result<(), String> {
+    let requests = opts
+        .requests
+        .unwrap_or(if opts.quick { 20_000 } else { 1_000_000 });
+    eprintln!(
+        "profiling streaming kernel: {requests} diurnal requests per scheduler \
+         (seed {}) ...",
+        opts.seed
+    );
+    let report = amrm_bench::profile::run_profile(requests, opts.seed);
+    println!("{}", amrm_bench::profile::profile_report(&report));
+    write_artifact(opts, "profile", &report)?;
+    if let Some(path) = &opts.baseline_in {
+        let recorded = baseline::read_json(path)
+            .map_err(|e| format!("cannot read baseline from {path}: {e}"))?;
+        if recorded.profile.is_empty() {
+            eprintln!("baseline {path} has no profile cells; floor check skipped");
+        } else {
+            amrm_bench::profile::check_floor(&report.cells, &recorded.profile)
+                .map_err(|msg| format!("throughput floor violated: {msg}"))?;
+            eprintln!(
+                "throughput floor satisfied against {path} ({}% of recorded events/s required)",
+                (amrm_bench::profile::FLOOR_FRACTION * 100.0) as u32
+            );
+        }
+    }
+    Ok(())
+}
+
+fn run_trace(opts: &Options) -> Result<(), String> {
+    let sample = opts.sample.unwrap_or(0);
+    eprintln!(
+        "tracing federated META run: {} bursty requests over {} shards \
+         (seed {}{}) ...",
+        if opts.quick { 2_000 } else { 20_000 },
+        amrm_bench::trace::TRACE_SHARDS,
+        opts.seed,
+        if sample > 1 {
+            format!(", 1-in-{sample} sampling")
+        } else {
+            String::new()
+        }
+    );
+    let run = amrm_bench::trace::run_trace(opts.quick, opts.seed, sample);
+    println!("{}", amrm_bench::trace::trace_report(&run.report));
+    write_artifact(opts, "trace report", &run.report)?;
+    if let Some(path) = &opts.trace_out {
+        amrm_bench::trace::write_chrome(path, &run.tracks)
+            .map_err(|e| format!("cannot write Chrome trace to {path}: {e}"))?;
+        eprintln!("Chrome trace written to {path} (open at https://ui.perfetto.dev)");
+    }
+    Ok(())
+}
+
+fn run_exact(opts: &Options) -> Result<(), String> {
+    eprintln!(
+        "running EX-MEM exact-path bench: ranking A/B on the bursty grid stream, \
+         cold-then-warm cache replay (seed {}{}) ...",
+        opts.seed,
+        if opts.quick { ", quick" } else { "" }
+    );
+    let report = amrm_bench::exact::run_exact(
+        opts.quick,
+        opts.seed,
+        opts.warm_cache.as_deref().map(std::path::Path::new),
+        opts.cache_out.as_deref().map(std::path::Path::new),
+    )
+    .map_err(|e| format!("exact-path bench failed: {e}"))?;
+    println!("{}", amrm_bench::exact::exact_report(&report));
+    if let Some(path) = &opts.cache_out {
+        eprintln!("mapping cache saved to {path}");
+    }
+    write_artifact(opts, "exact report", &report)
+}
+
+fn run_sweep(opts: &Options, registry: &SchedulerRegistry) -> Result<(), String> {
+    let (platform, library) = characterize();
+    let interarrivals: Vec<f64> = if opts.quick {
+        vec![1.0, 2.0, 4.0, 8.0]
+    } else {
+        vec![0.5, 1.0, 2.0, 4.0, 8.0, 16.0]
+    };
+    let spec = StreamSpec {
+        requests: if opts.quick { 40 } else { 150 },
+        slack_range: admission::STREAM_SLACK,
+    };
+    let policies = admission::standard_policies();
+    eprintln!(
+        "running load sweep: {} loads × {} policies × {} schedulers ({}), {} requests each ...",
+        interarrivals.len(),
+        policies.len(),
+        registry.len(),
+        registry.names().join(", "),
+        spec.requests
+    );
+    let cells = sweep::sweep_grid(
+        &platform,
+        registry,
+        &policies,
+        &library,
+        &interarrivals,
+        &spec,
+        opts.seed,
+        opts.threads,
+        SearchBudget::online(),
+    );
+    println!("{}", sweep::sweep_report(&cells, &interarrivals));
+    let report = sweep::SweepReport {
+        seed: opts.seed,
+        quick: opts.quick,
+        requests_per_point: spec.requests,
+        interarrivals,
+        cells,
+    };
+    write_artifact(opts, "sweep report", &report)
+}
+
+fn run_suite(opts: &Options, registry: &SchedulerRegistry) -> Result<(), String> {
+    if opts.command == "all" {
+        println!("{}", reports::table2_report());
         println!("{}", reports::motivation_report());
     }
-    if opts.command == "ablation" {
-        let platform = Platform::odroid_xu4();
-        let suite = amrm_bench::ablation::ablation_suite(opts.seed);
-        println!(
-            "{}",
-            amrm_bench::ablation::job_order_report(&suite, &amrm_workload::scenarios::platform())
-        );
-        // An explicit --schedulers subset overrides the default online
-        // registry (which is every scheduler except EX-MEM).
-        let online = if opts.schedulers.is_some() {
-            registry
-        } else {
-            amrm_bench::ablation::online_registry()
-        };
-        println!(
-            "{}",
-            amrm_bench::ablation::online_admission_report(&platform, opts.seed, &online)
-        );
-        println!("{}", amrm_bench::ablation::dvfs_report());
-        return ExitCode::SUCCESS;
-    }
-    if opts.command == "admission" {
-        let platform = Platform::odroid_xu4();
-        eprintln!(
-            "characterizing application library on {} ...",
-            platform.name()
-        );
-        let library = apps::benchmark_suite(&platform);
-        let cells = run_admission_grid(&platform, &library, &registry, &opts);
-        println!("{}", admission::admission_report(&cells));
-        return ExitCode::SUCCESS;
-    }
-    if opts.command == "tune" {
-        let platform = Platform::odroid_xu4();
-        eprintln!(
-            "characterizing application library on {} ...",
-            platform.name()
-        );
-        let library = apps::benchmark_suite(&platform);
-        let tune_opts = tune::TuneOptions {
-            seed: opts.seed,
-            quick: opts.quick,
-            threads: opts.threads,
-        };
-        eprintln!(
-            "fitting adaptive-policy and META parameters (seed {}, {} threads{}) ...",
-            opts.seed,
-            opts.threads,
-            if opts.quick { ", quick" } else { "" }
-        );
-        let t0 = std::time::Instant::now();
-        let report = tune::tune_grid(&platform, &library, &tune_opts);
-        eprintln!("search finished in {:.1} s", t0.elapsed().as_secs_f64());
-        println!("{}", tune::tune_report(&report));
-        if let Some(path) = &opts.json_out {
-            if let Err(e) = tune::write_json(path, &report) {
-                eprintln!("error: cannot write tune report to {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("tune artifact written to {path}");
-        }
-        return ExitCode::SUCCESS;
-    }
-    if opts.command == "profile" {
-        let requests = opts
-            .requests
-            .unwrap_or(if opts.quick { 20_000 } else { 1_000_000 });
-        eprintln!(
-            "profiling streaming kernel: {requests} diurnal requests per scheduler \
-             (seed {}) ...",
-            opts.seed
-        );
-        let report = amrm_bench::profile::run_profile(requests, opts.seed);
-        println!("{}", amrm_bench::profile::profile_report(&report));
-        if let Some(path) = &opts.json_out {
-            if let Err(e) = amrm_bench::profile::write_json(path, &report) {
-                eprintln!("error: cannot write profile to {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("profile artifact written to {path}");
-        }
-        if let Some(path) = &opts.baseline_in {
-            let recorded = match baseline::read_json(path) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("error: cannot read baseline from {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            if recorded.profile.is_empty() {
-                eprintln!("baseline {path} has no profile cells; floor check skipped");
-            } else if let Err(msg) =
-                amrm_bench::profile::check_floor(&report.cells, &recorded.profile)
-            {
-                eprintln!("error: throughput floor violated: {msg}");
-                return ExitCode::FAILURE;
-            } else {
-                eprintln!(
-                    "throughput floor satisfied against {path} ({}% of recorded events/s required)",
-                    (amrm_bench::profile::FLOOR_FRACTION * 100.0) as u32
-                );
-            }
-        }
-        return ExitCode::SUCCESS;
-    }
-    if opts.command == "shard" {
-        eprintln!(
-            "running sharded-federation bench: shard counts {:?} × 4 routing policies \
-             (seed {}, {} dispatcher threads{}) ...",
-            amrm_bench::shard::WEAK_SHARD_COUNTS,
-            opts.seed,
-            opts.threads,
-            if opts.quick { ", quick" } else { "" }
-        );
-        let report = amrm_bench::shard::run_shard_bench(opts.quick, opts.seed, opts.threads);
-        println!("{}", amrm_bench::shard::shard_report(&report));
-        if let Some(path) = &opts.json_out {
-            if let Err(e) = amrm_bench::shard::write_json(path, &report) {
-                eprintln!("error: cannot write shard report to {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("shard artifact written to {path}");
-        }
-        return ExitCode::SUCCESS;
-    }
-    if opts.command == "trace" {
-        let sample = opts.sample.unwrap_or(0);
-        eprintln!(
-            "tracing federated META run: {} bursty requests over {} shards \
-             (seed {}{}) ...",
-            if opts.quick { 2_000 } else { 20_000 },
-            amrm_bench::trace::TRACE_SHARDS,
-            opts.seed,
-            if sample > 1 {
-                format!(", 1-in-{sample} sampling")
-            } else {
-                String::new()
-            }
-        );
-        let run = amrm_bench::trace::run_trace(opts.quick, opts.seed, sample);
-        println!("{}", amrm_bench::trace::trace_report(&run.report));
-        if let Some(path) = &opts.json_out {
-            if let Err(e) = amrm_bench::trace::write_json(path, &run.report) {
-                eprintln!("error: cannot write trace report to {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("trace report written to {path}");
-        }
-        if let Some(path) = &opts.trace_out {
-            if let Err(e) = amrm_bench::trace::write_chrome(path, &run.tracks) {
-                eprintln!("error: cannot write Chrome trace to {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("Chrome trace written to {path} (open at https://ui.perfetto.dev)");
-        }
-        return ExitCode::SUCCESS;
-    }
-    if opts.command == "exact" {
-        eprintln!(
-            "running EX-MEM exact-path bench: ranking A/B on the bursty grid stream, \
-             cold-then-warm cache replay (seed {}{}) ...",
-            opts.seed,
-            if opts.quick { ", quick" } else { "" }
-        );
-        let report = match amrm_bench::exact::run_exact(
-            opts.quick,
-            opts.seed,
-            opts.warm_cache.as_deref().map(std::path::Path::new),
-            opts.cache_out.as_deref().map(std::path::Path::new),
-        ) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("error: exact-path bench failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        println!("{}", amrm_bench::exact::exact_report(&report));
-        if let Some(path) = &opts.cache_out {
-            eprintln!("mapping cache saved to {path}");
-        }
-        if let Some(path) = &opts.json_out {
-            if let Err(e) = amrm_bench::exact::write_json(path, &report) {
-                eprintln!("error: cannot write exact report to {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("exact artifact written to {path}");
-        }
-        return ExitCode::SUCCESS;
-    }
-    if opts.command == "sweep" {
-        let platform = Platform::odroid_xu4();
-        eprintln!(
-            "characterizing application library on {} ...",
-            platform.name()
-        );
-        let library = apps::benchmark_suite(&platform);
-        let interarrivals: Vec<f64> = if opts.quick {
-            vec![1.0, 2.0, 4.0, 8.0]
-        } else {
-            vec![0.5, 1.0, 2.0, 4.0, 8.0, 16.0]
-        };
-        let spec = StreamSpec {
-            requests: if opts.quick { 40 } else { 150 },
-            slack_range: (1.5, 3.0),
-        };
-        let policies = admission::standard_policies();
-        eprintln!(
-            "running load sweep: {} loads × {} policies × {} schedulers ({}), {} requests each ...",
-            interarrivals.len(),
-            policies.len(),
-            registry.len(),
-            registry.names().join(", "),
-            spec.requests
-        );
-        let cells = sweep::sweep_grid(
-            &platform,
-            &registry,
-            &policies,
-            &library,
-            &interarrivals,
-            &spec,
-            opts.seed,
-            opts.threads,
-            SearchBudget::online(),
-        );
-        println!("{}", sweep::sweep_report(&cells, &interarrivals));
-        if let Some(path) = &opts.json_out {
-            let report = sweep::SweepReport {
-                seed: opts.seed,
-                quick: opts.quick,
-                requests_per_point: spec.requests,
-                interarrivals,
-                cells,
-            };
-            if let Err(e) = sweep::write_json(path, &report) {
-                eprintln!("error: cannot write sweep to {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("sweep artifact written to {path}");
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    if !needs_suite {
-        return ExitCode::SUCCESS;
-    }
-
-    let platform = Platform::odroid_xu4();
-    eprintln!(
-        "characterizing application library on {} ...",
-        platform.name()
-    );
-    let library = apps::benchmark_suite(&platform);
+    let (platform, library) = characterize();
     println!("{}", reports::library_report(&library));
 
     let mut spec = SuiteSpec::default();
@@ -697,17 +606,14 @@ fn main() -> ExitCode {
     );
     let cases = generate_suite(&library, &spec, opts.seed);
     if let Some(path) = &opts.suite_out {
-        if let Err(e) = save_suite(path, &cases) {
-            eprintln!("error: cannot save suite to {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        save_suite(path, &cases).map_err(|e| format!("cannot save suite to {path}: {e}"))?;
         eprintln!("suite saved to {path}");
     }
 
     if matches!(opts.command.as_str(), "table3" | "all") {
         println!("{}", reports::table3_report(&cases));
         if opts.command == "table3" {
-            return ExitCode::SUCCESS;
+            return Ok(());
         }
     }
 
@@ -719,13 +625,13 @@ fn main() -> ExitCode {
         opts.threads
     );
     let t0 = std::time::Instant::now();
-    let eval = evaluate_suite(&cases, &platform, opts.threads, &registry);
+    let eval = evaluate_suite(&cases, &platform, opts.threads, registry);
     let elapsed = t0.elapsed().as_secs_f64();
     eprintln!("evaluation finished in {elapsed:.1} s");
 
-    if let Some(path) = &opts.json_out {
+    if opts.json_out.is_some() {
         let mut summary = baseline::summarize(&eval, opts.seed, opts.threads, opts.quick, elapsed);
-        summary.admission = run_admission_grid(&platform, &library, &registry, &opts);
+        summary.admission = run_admission_grid(&platform, &library, registry, opts);
         let profile_requests = if opts.quick { 20_000 } else { 100_000 };
         eprintln!(
             "profiling streaming kernel for the baseline ({profile_requests} requests per \
@@ -740,18 +646,10 @@ fn main() -> ExitCode {
             .report
             .counts;
         eprintln!("running EX-MEM exact-path bench for the baseline ...");
-        match amrm_bench::exact::run_exact(opts.quick, opts.seed, None, None) {
-            Ok(report) => summary.exact = report.cells,
-            Err(e) => {
-                eprintln!("error: exact-path bench failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        if let Err(e) = baseline::write_json(path, &summary) {
-            eprintln!("error: cannot write baseline to {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("perf baseline written to {path}");
+        summary.exact = amrm_bench::exact::run_exact(opts.quick, opts.seed, None, None)
+            .map_err(|e| format!("exact-path bench failed: {e}"))?
+            .cells;
+        write_artifact(opts, "perf baseline", &summary)?;
     }
 
     match opts.command.as_str() {
@@ -759,16 +657,12 @@ fn main() -> ExitCode {
         "table4" => println!("{}", reports::table4_report(&eval)),
         "fig3" => println!("{}", reports::fig3_report(&eval)),
         "fig4" => println!("{}", reports::fig4_report(&eval)),
-        "all" => {
+        _ => {
             println!("{}", reports::fig2_report(&eval));
             println!("{}", reports::table4_report(&eval));
             println!("{}", reports::fig3_report(&eval));
             println!("{}", reports::fig4_report(&eval));
         }
-        other => {
-            eprintln!("error: unknown command {other}");
-            return ExitCode::FAILURE;
-        }
     }
-    ExitCode::SUCCESS
+    Ok(())
 }

@@ -28,12 +28,11 @@ use std::path::Path;
 use std::time::Instant;
 
 use amrm_baselines::{ExMem, MappingCache};
-use amrm_core::{Immediate, ReactivationPolicy, SearchBudget};
-use amrm_metrics::journal::{EventKind, JournalConfig};
+use amrm_core::{Immediate, SearchBudget};
 use amrm_metrics::TextTable;
 use amrm_model::AppRef;
 use amrm_platform::Platform;
-use amrm_sim::{SimOutcome, Simulation};
+use amrm_sim::SimOutcome;
 use amrm_workload::{poisson_stream, ScenarioRequest, StreamSpec};
 use serde::{Deserialize, Serialize};
 
@@ -111,46 +110,34 @@ impl ExactReport {
     }
 }
 
-/// One journaled EX-MEM run under `Immediate` admission, warm-started
-/// from `cache` when given. Returns the outcome, the scheduler (for its
-/// mapping cache) and the wall-clock seconds.
-fn run_exmem(
+/// One timed EX-MEM [`admission::run_cell`] under `Immediate` admission,
+/// warm-started from `cache` when given. Returns the phase's cell, the
+/// outcome, and the scheduler (for its mapping cache).
+fn exmem_cell(
+    phase: &str,
     platform: &Platform,
-    stream: &[ScenarioRequest],
+    stream: (&str, &[ScenarioRequest]),
     budget: SearchBudget,
     cache: Option<MappingCache>,
-) -> (SimOutcome, ExMem, f64) {
+) -> (ExactCell, SimOutcome, ExMem) {
     let scheduler = match cache {
         Some(cache) => ExMem::new().with_cache(cache),
         None => ExMem::new(),
     };
-    let sim = Simulation::new(
-        platform.clone(),
-        scheduler,
-        ReactivationPolicy::OnArrival,
-        Immediate,
-        stream,
-    )
-    .with_search_budget(budget)
-    .with_journal(JournalConfig::default());
     let t0 = Instant::now();
-    let (outcome, scheduler) = sim.run_with_scheduler();
-    let wall = t0.elapsed().as_secs_f64().max(f64::EPSILON);
-    (outcome, scheduler, wall)
-}
-
-fn cell_of(phase: &str, stream_len: usize, outcome: &SimOutcome, wall: f64) -> ExactCell {
-    let journal = outcome.journal.as_ref().expect("journal installed");
-    ExactCell {
+    let (cell, outcome, scheduler) =
+        admission::run_cell(platform, stream, scheduler, Immediate, budget);
+    let exact = ExactCell {
         phase: phase.to_string(),
-        requests: stream_len,
-        accepted: outcome.accepted(),
-        truncations: journal.count_of(EventKind::Truncation),
-        rank_pruned: journal.count_of(EventKind::RankPrune),
-        cache_warm_hits: journal.count_of(EventKind::CacheWarmHit),
-        wall_seconds: wall,
-        energy_per_job: outcome.energy_per_job(),
-    }
+        requests: cell.requests,
+        accepted: cell.accepted,
+        truncations: cell.exact_truncations,
+        rank_pruned: cell.rank_pruned,
+        cache_warm_hits: cell.cache_warm_hits,
+        wall_seconds: t0.elapsed().as_secs_f64().max(f64::EPSILON),
+        energy_per_job: cell.energy_per_job,
+    };
+    (exact, outcome, scheduler)
 }
 
 fn bit_identical(a: &SimOutcome, b: &SimOutcome) -> bool {
@@ -205,39 +192,37 @@ pub fn run_exact_with(
 
     // Ranking pair: the bursty grid stream at one node budget, fan-out
     // uncapped vs capped at the shipped online rank cap.
-    let streams = admission::standard_streams(&library, quick, seed, true);
+    let streams =
+        admission::standard_streams(&library, admission::grid_requests(quick, true), seed);
     let (_, bursty) = streams
         .into_iter()
         .find(|(label, _)| *label == "bursty")
         .expect("standard streams include a bursty shape");
+    let bursty = ("bursty", bursty.as_slice());
     let node_budget = SearchBudget::nodes(SearchBudget::ONLINE_WORK_UNITS);
-    let (uncapped, _, uncapped_wall) = run_exmem(&platform, &bursty, node_budget, None);
-    let (capped, _, capped_wall) = run_exmem(&platform, &bursty, SearchBudget::online(), None);
+    let (uncapped, _, _) = exmem_cell("uncapped", &platform, bursty, node_budget, None);
+    let (capped, _, _) = exmem_cell("capped", &platform, bursty, SearchBudget::online(), None);
 
     // Replay pair: solve the calm stream cold, persist the proofs,
     // reload and replay warm.
     let calm = replay_stream(&library, replay_requests, seed);
+    let calm = ("calm", calm.as_slice());
     let replay_budget = SearchBudget::nodes(REPLAY_NODE_BUDGET);
-    let (cold, cold_ex, cold_wall) = run_exmem(&platform, &calm, replay_budget, None);
+    let (cold, cold_outcome, cold_ex) = exmem_cell("cold", &platform, calm, replay_budget, None);
     let default_path =
         std::env::temp_dir().join(format!("amrm_exact_cache_{seed}_{replay_requests}.json"));
     let cache_path = cache_out.unwrap_or(&default_path);
     cold_ex.cache().save(cache_path)?;
     let loaded = MappingCache::load(warm_cache.unwrap_or(cache_path))?;
-    let (warm, _, warm_wall) = run_exmem(&platform, &calm, replay_budget, Some(loaded));
+    let (warm, warm_outcome, _) = exmem_cell("warm", &platform, calm, replay_budget, Some(loaded));
 
     Ok(ExactReport {
         seed,
         quick,
-        cells: vec![
-            cell_of("uncapped", bursty.len(), &uncapped, uncapped_wall),
-            cell_of("capped", bursty.len(), &capped, capped_wall),
-            cell_of("cold", calm.len(), &cold, cold_wall),
-            cell_of("warm", calm.len(), &warm, warm_wall),
-        ],
-        bit_identical: bit_identical(&cold, &warm),
-        warm_speedup: cold_wall / warm_wall,
+        bit_identical: bit_identical(&cold_outcome, &warm_outcome),
+        warm_speedup: cold.wall_seconds / warm.wall_seconds,
         cache_proofs: cold_ex.cache().proof_count(),
+        cells: vec![uncapped, capped, cold, warm],
     })
 }
 
@@ -294,17 +279,6 @@ pub fn exact_report(report: &ExactReport) -> String {
         report.warm_speedup,
     ));
     out
-}
-
-/// Writes an exact-path report as pretty-printed JSON.
-///
-/// # Errors
-///
-/// Returns any I/O or serialization error.
-pub fn write_json(path: impl AsRef<Path>, report: &ExactReport) -> std::io::Result<()> {
-    let file = std::fs::File::create(path)?;
-    serde_json::to_writer_pretty(std::io::BufWriter::new(file), report)
-        .map_err(std::io::Error::other)
 }
 
 #[cfg(test)]
@@ -371,7 +345,7 @@ mod tests {
     fn report_roundtrips_through_json() {
         let report = run_exact_with(true, 3, 6, None, None).unwrap();
         let path = std::env::temp_dir().join("amrm_exact_roundtrip.json");
-        write_json(&path, &report).unwrap();
+        crate::write_json(&path, &report).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         let _ = std::fs::remove_file(&path);
         let back: ExactReport = serde_json::from_str(&text).unwrap();

@@ -266,20 +266,6 @@ pub fn check_floor(current: &[ProfileCell], baseline: &[ProfileCell]) -> Result<
     }
 }
 
-/// Writes a profile report as pretty-printed JSON.
-///
-/// # Errors
-///
-/// Returns any I/O or serialization error.
-pub fn write_json(
-    path: impl AsRef<std::path::Path>,
-    report: &ProfileReport,
-) -> std::io::Result<()> {
-    let file = std::fs::File::create(path)?;
-    serde_json::to_writer_pretty(std::io::BufWriter::new(file), report)
-        .map_err(std::io::Error::other)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -347,7 +333,7 @@ mod tests {
     fn report_roundtrips_through_json() {
         let report = run_profile(80, 5);
         let path = std::env::temp_dir().join("amrm_profile_roundtrip.json");
-        write_json(&path, &report).unwrap();
+        crate::write_json(&path, &report).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         let _ = std::fs::remove_file(&path);
         let back: ProfileReport = serde_json::from_str(&text).unwrap();

@@ -141,17 +141,24 @@ fn percentile_over_mean(routed: &[usize], q: f64) -> f64 {
     sorted[rank - 1] as f64 / mean
 }
 
-/// Builds one lean shard: MMKP-MDF under the online search budget with
-/// the given admission policy, in aggregated outcome mode.
-fn open_shard<A: AdmissionPolicy>(
+/// Builds one lean federation shard: the registered `scheduler` under the
+/// online search budget with the given admission policy, in aggregated
+/// outcome mode — the shard builder of the shard bench and the trace.
+///
+/// # Panics
+///
+/// Panics if `scheduler` is not in the standard registry.
+pub(crate) fn open_shard<A: AdmissionPolicy>(
     platform: &Platform,
+    scheduler: &str,
     admission: A,
 ) -> Simulation<Box<dyn Scheduler + Send>, A> {
+    let scheduler = standard_registry()
+        .create(scheduler)
+        .unwrap_or_else(|| panic!("{scheduler} is not registered"));
     Simulation::open(
         platform.clone(),
-        standard_registry()
-            .create(MDF_NAME)
-            .expect("MMKP-MDF is registered"),
+        scheduler,
         ReactivationPolicy::OnArrival,
         admission,
     )
@@ -230,7 +237,7 @@ pub fn weak_scaling_grid(
                 seed,
             );
             let pool = (0..shards)
-                .map(|_| open_shard(&platform, Immediate))
+                .map(|_| open_shard(&platform, MDF_NAME, Immediate))
                 .collect();
             cells.push(run_cell(
                 pool,
@@ -282,7 +289,7 @@ pub fn skewed_grid(
         .into_iter()
         .map(|routing| {
             let pool = (0..SKEWED_SHARDS)
-                .map(|_| open_shard(&platform, Immediate))
+                .map(|_| open_shard(&platform, MDF_NAME, Immediate))
                 .collect();
             run_cell(pool, "hotspot", stream(), routing, config(None))
         })
@@ -292,7 +299,7 @@ pub fn skewed_grid(
     // drain it. (Per-request admission never leaves a queue to steal
     // from, so this row runs BatchK shards.)
     let pool = (0..SKEWED_SHARDS)
-        .map(|_| open_shard(&platform, BatchK(8)))
+        .map(|_| open_shard(&platform, MDF_NAME, BatchK(8)))
         .collect();
     cells.push(run_cell(
         pool,
@@ -390,17 +397,6 @@ pub fn shard_report(report: &ShardReport) -> String {
     out
 }
 
-/// Writes a shard report as pretty-printed JSON.
-///
-/// # Errors
-///
-/// Returns any I/O or serialization error.
-pub fn write_json(path: impl AsRef<std::path::Path>, report: &ShardReport) -> std::io::Result<()> {
-    let file = std::fs::File::create(path)?;
-    serde_json::to_writer_pretty(std::io::BufWriter::new(file), report)
-        .map_err(std::io::Error::other)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -482,7 +478,7 @@ mod tests {
             cells: weak_scaling_grid(&library(), 30, &[2], 3, 2),
         };
         let path = std::env::temp_dir().join("amrm_shard_roundtrip.json");
-        write_json(&path, &report).unwrap();
+        crate::write_json(&path, &report).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         let _ = std::fs::remove_file(&path);
         let back: ShardReport = serde_json::from_str(&text).unwrap();

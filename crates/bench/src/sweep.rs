@@ -1,13 +1,11 @@
 //! First-class load sweeps: acceptance/energy curves over an offered-load
 //! grid × registry schedulers × admission policies.
 //!
-//! [`sweep_grid`] crosses every registered scheduler with every admission
-//! policy and replays the same seeded Poisson stream shape at each mean
-//! inter-arrival time, producing one [`SweepCell`] per (policy ×
-//! scheduler × load) point. Each point is one event-kernel
-//! [`Simulation`] run, and the independent (policy × scheduler) curves
-//! fan out over OS threads via the shared
-//! [`for_each_cell`](amrm_core::fanout::for_each_cell) work index.
+//! [`sweep_grid`] replays the same seeded Poisson stream shape at each
+//! mean inter-arrival time, labels each stream `poisson@{mean}`, and runs
+//! the load × policy × scheduler grid on the admission grid's runner
+//! ([`run_grid`]): one [`Cell`] per point, loads outermost, each carrying
+//! the grid's counters, telemetry and exact-path aggregates.
 //!
 //! Every cell runs under [`SearchBudget::online`]-style budgets supplied
 //! by the caller, so the anytime EX-MEM (and the META selector's exact
@@ -15,45 +13,14 @@
 //! `repro sweep` subcommand renders [`sweep_report`] and `--json`
 //! persists a [`SweepReport`].
 
-use amrm_core::fanout::for_each_cell;
-use amrm_core::{ReactivationPolicy, SchedulerRegistry, SearchBudget};
-use amrm_metrics::{instrument, CounterSnapshot, TextTable};
+use amrm_core::{SchedulerRegistry, SearchBudget};
+use amrm_metrics::TextTable;
 use amrm_model::AppRef;
 use amrm_platform::Platform;
-use amrm_sim::Simulation;
-use amrm_workload::{poisson_stream, StreamSpec};
+use amrm_workload::{poisson_stream, ScenarioRequest, StreamSpec};
 use serde::{Deserialize, Serialize};
 
-use crate::admission::PolicyFactory;
-
-/// One (admission policy × scheduler × offered load) point of a sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SweepCell {
-    /// Admission-policy label (e.g. `"AdaptiveBatch"`).
-    pub policy: String,
-    /// Scheduler (registry) name.
-    pub scheduler: String,
-    /// Mean inter-arrival time of the Poisson stream at this point.
-    pub mean_interarrival: f64,
-    /// Requests offered.
-    pub requests: usize,
-    /// Requests admitted.
-    pub accepted: usize,
-    /// Acceptance rate in `[0, 1]`.
-    pub acceptance_rate: f64,
-    /// Energy per admitted job, in joules (0.0 if nothing admitted).
-    pub energy_per_job: f64,
-    /// Scheduler activations over the run.
-    pub activations: usize,
-    /// Requests dropped from the admission queue at their deadline.
-    pub queue_deadline_drops: usize,
-    /// Admitted jobs that finished late (0 unless a scheduler misbehaved).
-    pub deadline_misses: usize,
-    /// Hot-path instrumentation counters for this cell alone: the
-    /// thread-local counters are *drained* around every point, so cells
-    /// sharing a worker thread no longer bleed counts into each other.
-    pub counters: CounterSnapshot,
-}
+use crate::admission::{run_grid, Cell, PolicyFactory};
 
 /// A whole sweep run plus its provenance, ready to serialize as a JSON
 /// artifact (`repro sweep --json`).
@@ -67,16 +34,21 @@ pub struct SweepReport {
     pub requests_per_point: usize,
     /// The offered-load grid (mean inter-arrival seconds), densest first.
     pub interarrivals: Vec<f64>,
-    /// One cell per (policy × scheduler × load), policies outermost,
-    /// schedulers in registry order, loads in grid order innermost.
-    pub cells: Vec<SweepCell>,
+    /// One cell per (load × policy × scheduler), keyed by the stream
+    /// label `poisson@{mean}`: loads outermost, then policies, schedulers
+    /// in registry order innermost.
+    pub cells: Vec<Cell>,
 }
 
-/// Runs the (policy × scheduler × load) sweep grid. Cells are grouped as
-/// (policy × scheduler) curves — each curve replays identical seeded
-/// Poisson streams over `interarrivals` — and the curves fan out over
-/// `threads` OS threads. `budget` bounds every scheduler activation (pass
-/// [`SearchBudget::online`] so exhaustive search cannot stall a
+/// The stream label of the load point with mean inter-arrival `mean`.
+fn load_label(mean: f64) -> String {
+    format!("poisson@{mean}")
+}
+
+/// Runs the (load × policy × scheduler) sweep grid: one seeded Poisson
+/// stream per mean in `interarrivals`, all of them through [`run_grid`]
+/// on `threads` OS threads. `budget` bounds every scheduler activation
+/// (pass [`SearchBudget::online`] so exhaustive search cannot stall a
 /// dense-load cell).
 ///
 /// # Panics
@@ -94,63 +66,21 @@ pub fn sweep_grid(
     seed: u64,
     threads: usize,
     budget: SearchBudget,
-) -> Vec<SweepCell> {
-    assert!(!registry.is_empty(), "registry must not be empty");
-    assert!(!policies.is_empty(), "need at least one admission policy");
-    let columns = registry.len();
-    let names = registry.names();
-    // Every (policy × scheduler) curve replays identical seeded streams,
-    // so generate them exactly once and share across all curves.
-    let streams: Vec<_> = interarrivals
+) -> Vec<Cell> {
+    let streams: Vec<(String, Vec<ScenarioRequest>)> = interarrivals
         .iter()
-        .map(|&mean| poisson_stream(apps, mean, spec, seed))
+        .map(|&mean| (load_label(mean), poisson_stream(apps, mean, spec, seed)))
         .collect();
-    let curves = for_each_cell(policies.len() * columns, threads, |curve| {
-        let policy_idx = curve / columns;
-        let sched_idx = curve % columns;
-        let factory = registry
-            .iter()
-            .nth(sched_idx)
-            .expect("scheduler index in range")
-            .1;
-        let label = policies[policy_idx]().label();
-        // The thread-local counters are drained around each point:
-        // consecutive cells on the same worker thread must not leak
-        // counts into each other.
-        (0..interarrivals.len())
-            .map(|i| {
-                let _ = instrument::take();
-                let outcome = Simulation::new(
-                    platform.clone(),
-                    factory(),
-                    ReactivationPolicy::OnArrival,
-                    policies[policy_idx](),
-                    &streams[i],
-                )
-                .with_search_budget(budget)
-                .run();
-                SweepCell {
-                    policy: label.clone(),
-                    scheduler: names[sched_idx].to_string(),
-                    mean_interarrival: interarrivals[i],
-                    requests: outcome.admissions.len(),
-                    accepted: outcome.accepted(),
-                    acceptance_rate: outcome.acceptance_rate(),
-                    energy_per_job: outcome.energy_per_job(),
-                    activations: outcome.stats.activations,
-                    queue_deadline_drops: outcome.queue_deadline_drops,
-                    deadline_misses: outcome.stats.deadline_misses,
-                    counters: instrument::take(),
-                }
-            })
-            .collect::<Vec<_>>()
-    });
-    curves.into_iter().flatten().collect()
+    let refs: Vec<(&str, &[ScenarioRequest])> = streams
+        .iter()
+        .map(|(label, stream)| (label.as_str(), stream.as_slice()))
+        .collect();
+    run_grid(platform, registry, policies, &refs, threads, budget)
 }
 
 /// Renders sweep cells as acceptance/energy curves: one row per (policy,
 /// scheduler), one acceptance and energy column pair per load point.
-pub fn sweep_report(cells: &[SweepCell], interarrivals: &[f64]) -> String {
+pub fn sweep_report(cells: &[Cell], interarrivals: &[f64]) -> String {
     let mut out = String::from(
         "Load sweep: acceptance rate and energy/job over offered load \
          (Poisson mean inter-arrival, seconds)\n\n",
@@ -171,9 +101,10 @@ pub fn sweep_report(cells: &[SweepCell], interarrivals: &[f64]) -> String {
     for (policy, scheduler) in row_keys {
         let mut row = vec![policy.clone(), scheduler.clone()];
         for &mean in interarrivals {
-            let cell = cells.iter().find(|c| {
-                c.policy == policy && c.scheduler == scheduler && c.mean_interarrival == mean
-            });
+            let stream = load_label(mean);
+            let cell = cells
+                .iter()
+                .find(|c| c.policy == policy && c.scheduler == scheduler && c.stream == stream);
             match cell {
                 Some(c) => {
                     row.push(format!("{:.2}", c.acceptance_rate));
@@ -197,21 +128,10 @@ pub fn sweep_report(cells: &[SweepCell], interarrivals: &[f64]) -> String {
     out
 }
 
-/// Writes a sweep report as pretty-printed JSON.
-///
-/// # Errors
-///
-/// Returns any I/O or serialization error.
-pub fn write_json(path: impl AsRef<std::path::Path>, report: &SweepReport) -> std::io::Result<()> {
-    let file = std::fs::File::create(path)?;
-    serde_json::to_writer_pretty(std::io::BufWriter::new(file), report)
-        .map_err(std::io::Error::other)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amrm_baselines::{standard_registry, FIXED_NAME, MDF_NAME, META_NAME};
+    use amrm_baselines::{standard_registry, FIXED_NAME, MDF_NAME};
     use amrm_core::{BatchK, Immediate};
     use amrm_workload::scenarios;
 
@@ -246,13 +166,15 @@ mod tests {
             SearchBudget::online(),
         );
         assert_eq!(cells.len(), 2 * 2 * 2);
-        // Policies outermost, schedulers next, loads innermost.
+        // Loads outermost, policies next, schedulers innermost.
+        assert_eq!(cells[0].stream, "poisson@2");
         assert_eq!(cells[0].policy, "Immediate");
         assert_eq!(cells[0].scheduler, MDF_NAME);
-        assert_eq!(cells[0].mean_interarrival, 2.0);
-        assert_eq!(cells[1].mean_interarrival, 8.0);
-        assert_eq!(cells[2].scheduler, FIXED_NAME);
-        assert_eq!(cells[4].policy, "BatchK(2)");
+        assert_eq!(cells[1].scheduler, FIXED_NAME);
+        assert_eq!(cells[2].policy, "BatchK(2)");
+        assert_eq!(cells[3].stream, "poisson@2");
+        assert_eq!(cells[4].stream, "poisson@8");
+        assert_eq!(cells[4].policy, "Immediate");
         for c in &cells {
             assert!((0.0..=1.0).contains(&c.acceptance_rate));
             assert!(c.accepted <= c.requests);
@@ -283,39 +205,6 @@ mod tests {
         // least as much as heavy load in aggregate.
         assert!(cells[1].acceptance_rate >= cells[0].acceptance_rate - 1e-9);
         assert!(cells[1].acceptance_rate > 0.9);
-    }
-
-    #[test]
-    fn serial_and_parallel_sweeps_agree_bitwise() {
-        let registry = standard_registry().subset(&[MDF_NAME, META_NAME]);
-        let spec = StreamSpec {
-            requests: 10,
-            slack_range: (1.4, 2.8),
-        };
-        let loads = [1.5, 6.0];
-        let run = |threads| {
-            sweep_grid(
-                &scenarios::platform(),
-                &registry,
-                &tiny_policies(),
-                &lib(),
-                &loads,
-                &spec,
-                7,
-                threads,
-                SearchBudget::online(),
-            )
-        };
-        let serial = run(1);
-        let parallel = run(4);
-        assert_eq!(serial.len(), parallel.len());
-        for (a, b) in serial.iter().zip(&parallel) {
-            assert_eq!(a.policy, b.policy);
-            assert_eq!(a.scheduler, b.scheduler);
-            assert_eq!(a.accepted, b.accepted);
-            assert_eq!(a.acceptance_rate.to_bits(), b.acceptance_rate.to_bits());
-            assert_eq!(a.energy_per_job.to_bits(), b.energy_per_job.to_bits());
-        }
     }
 
     #[test]
@@ -371,7 +260,7 @@ mod tests {
             ),
         };
         let path = std::env::temp_dir().join("amrm_sweep_roundtrip.json");
-        write_json(&path, &report).unwrap();
+        crate::write_json(&path, &report).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         let _ = std::fs::remove_file(&path);
         let back: SweepReport = serde_json::from_str(&text).unwrap();

@@ -17,14 +17,16 @@
 //! counts condense into a [`TraceReport`] that embeds into the perf
 //! baseline (`BENCH_baseline.json`) as its `trace` section.
 
-use amrm_baselines::{standard_registry, META_NAME};
-use amrm_core::{BatchK, HashAffinity, ReactivationPolicy, Scheduler, SearchBudget};
+use amrm_baselines::META_NAME;
+use amrm_core::{BatchK, HashAffinity};
 use amrm_metrics::journal::{self, EventKind, JournalConfig, RejectReason};
 use amrm_metrics::{Journal, TextTable, TraceSink};
 use amrm_platform::Platform;
-use amrm_sim::{Federation, FederationConfig, Simulation};
+use amrm_sim::{Federation, FederationConfig};
 use amrm_workload::{ArrivalStream, StreamSpec};
 use serde::{Deserialize, Serialize};
+
+use crate::shard::open_shard;
 
 /// Shards in the traced federation.
 pub const TRACE_SHARDS: usize = 4;
@@ -128,20 +130,7 @@ pub fn run_trace_with(requests: usize, quick: bool, seed: u64, sample: u64) -> T
         ..JournalConfig::default()
     };
     let pool: Vec<_> = (0..TRACE_SHARDS)
-        .map(|_| {
-            let shard: Simulation<Box<dyn Scheduler + Send>, _> = Simulation::open(
-                platform.clone(),
-                standard_registry()
-                    .create(META_NAME)
-                    .expect("META is registered"),
-                ReactivationPolicy::OnArrival,
-                BatchK(BATCH),
-            )
-            .with_search_budget(SearchBudget::online())
-            .aggregated()
-            .with_journal(config);
-            shard
-        })
+        .map(|_| open_shard(&platform, META_NAME, BatchK(BATCH)).with_journal(config))
         .collect();
     let outcome = Federation::new(pool, Box::new(HashAffinity::new()))
         .with_config(FederationConfig {
@@ -228,17 +217,6 @@ pub fn trace_report(report: &TraceReport) -> String {
         report.accepted, report.requests, report.stolen
     ));
     out
-}
-
-/// Writes a trace report as pretty-printed JSON.
-///
-/// # Errors
-///
-/// Returns any I/O or serialization error.
-pub fn write_json(path: impl AsRef<std::path::Path>, report: &TraceReport) -> std::io::Result<()> {
-    let file = std::fs::File::create(path)?;
-    serde_json::to_writer_pretty(std::io::BufWriter::new(file), report)
-        .map_err(std::io::Error::other)
 }
 
 /// Writes the per-track journals as one Chrome trace-event document —
@@ -351,7 +329,7 @@ mod tests {
     fn report_roundtrips_through_json() {
         let run = run_trace_with(300, true, 5, 4);
         let path = std::env::temp_dir().join("amrm_trace_roundtrip.json");
-        write_json(&path, &run.report).unwrap();
+        crate::write_json(&path, &run.report).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         let _ = std::fs::remove_file(&path);
         let back: TraceReport = serde_json::from_str(&text).unwrap();
@@ -393,19 +371,7 @@ mod tests {
                         2020,
                     );
                     let pool: Vec<_> = (0..TRACE_SHARDS)
-                        .map(|_| {
-                            let shard: Simulation<Box<dyn Scheduler + Send>, _> = Simulation::open(
-                                platform.clone(),
-                                standard_registry()
-                                    .create(META_NAME)
-                                    .expect("META is registered"),
-                                ReactivationPolicy::OnArrival,
-                                BatchK(BATCH),
-                            )
-                            .with_search_budget(SearchBudget::online())
-                            .aggregated();
-                            shard
-                        })
+                        .map(|_| open_shard(&platform, META_NAME, BatchK(BATCH)))
                         .collect();
                     let _ = Federation::new(pool, Box::new(HashAffinity::new()))
                         .with_config(FederationConfig {

@@ -33,18 +33,17 @@
 use amrm_baselines::{ExMem, MetaConfig, MetaScheduler};
 use amrm_core::fanout::for_each_cell;
 use amrm_core::{
-    AdaptiveBatch, AdmissionPolicy, Immediate, ReactivationPolicy, Scheduler, SearchBudget,
-    SlackAware,
+    AdaptiveBatch, AdmissionPolicy, Immediate, MmkpMdf, Scheduler, SearchBudget, SlackAware,
 };
-use amrm_metrics::journal::{EventKind, JournalConfig};
 use amrm_metrics::TextTable;
 use amrm_model::AppRef;
 use amrm_platform::Platform;
-use amrm_sim::Simulation;
-use amrm_workload::{bursty_window_stream, diurnal_stream, poisson_stream, StreamSpec};
+use amrm_workload::{diurnal_stream, ScenarioRequest, StreamSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+
+use crate::admission;
 
 /// Acceptance differences below this are ties (energy breaks them).
 const ACCEPTANCE_EPS: f64 = 1e-9;
@@ -353,29 +352,25 @@ pub struct TuneReport {
     pub exmem: ExMemOutcome,
 }
 
-/// The three seeded streams every candidate is scored on: the steady and
-/// bursty shapes of the admission grid plus a diurnal swing, so a winner
-/// must hold up across load regimes instead of overfitting one.
+/// The three seeded streams every candidate is scored on: the admission
+/// grid's steady and bursty [`standard_streams`](admission::standard_streams)
+/// plus a diurnal swing, so a winner must hold up across load regimes
+/// instead of overfitting one.
 pub fn tune_streams(
     library: &[AppRef],
     quick: bool,
     seed: u64,
-) -> Vec<(&'static str, Vec<amrm_workload::ScenarioRequest>)> {
+) -> Vec<(&'static str, Vec<ScenarioRequest>)> {
     let spec = StreamSpec {
         requests: if quick { 30 } else { 80 },
-        slack_range: (1.5, 3.0),
+        slack_range: admission::STREAM_SLACK,
     };
-    vec![
-        ("poisson", poisson_stream(library, 2.0, &spec, seed)),
-        (
-            "bursty",
-            bursty_window_stream(library, 1.0, 8.0, 15.0, &spec, seed),
-        ),
-        (
-            "diurnal",
-            diurnal_stream(library, 2.0, 3.0, 60.0, &spec, seed),
-        ),
-    ]
+    let mut streams = admission::standard_streams(library, spec.requests, seed);
+    streams.push((
+        "diurnal",
+        diurnal_stream(library, 2.0, 3.0, 60.0, &spec, seed),
+    ));
+    streams
 }
 
 /// The batched-admission policy META candidates are scored under
@@ -395,60 +390,20 @@ fn meta_reference_batch_policy() -> AdaptiveBatch {
     )
 }
 
-/// Scores one run: acceptance and energy/job of a single simulation
-/// under the given context [`SearchBudget`]. Policy and META candidates
-/// run under [`SearchBudget::online`]; EX-MEM candidates run under the
-/// bare online *node* budget — their rank cap travels in the scheduler
-/// instance, and the context must not clamp it to the shipped value.
-fn run_cell<S: Scheduler, A: AdmissionPolicy>(
+/// Scores one [`admission::run_cell`]: acceptance, energy/job and budget
+/// truncations. Policy and META candidates run under
+/// [`SearchBudget::online`]; EX-MEM candidates run under the bare online
+/// *node* budget — their rank cap travels in the scheduler instance, and
+/// the context must not clamp it to the shipped value.
+fn score<S: Scheduler, A: AdmissionPolicy>(
     platform: &Platform,
+    (label, stream): &(&str, Vec<ScenarioRequest>),
     scheduler: S,
     policy: A,
-    stream: &[amrm_workload::ScenarioRequest],
     budget: SearchBudget,
-) -> (f64, f64) {
-    let outcome = Simulation::new(
-        platform.clone(),
-        scheduler,
-        ReactivationPolicy::OnArrival,
-        policy,
-        stream,
-    )
-    .with_search_budget(budget)
-    .run();
-    (outcome.acceptance_rate(), outcome.energy_per_job())
-}
-
-/// Scores one EX-MEM run — acceptance, energy/job and the budget
-/// truncation count, the last via an observation-only journal (journals
-/// cannot perturb the simulation, so scores stay bit-identical to
-/// unjournaled runs). The context budget carries only the online node
-/// limit; the candidate's rank cap rides in the scheduler instance.
-fn run_exmem_cell(
-    platform: &Platform,
-    scheduler: ExMem,
-    stream: &[amrm_workload::ScenarioRequest],
 ) -> (f64, f64, u64) {
-    let outcome = Simulation::new(
-        platform.clone(),
-        scheduler,
-        ReactivationPolicy::OnArrival,
-        Immediate,
-        stream,
-    )
-    .with_search_budget(SearchBudget::nodes(SearchBudget::ONLINE_WORK_UNITS))
-    .with_journal(JournalConfig::default())
-    .run();
-    let truncations = outcome
-        .journal
-        .as_ref()
-        .map(|j| j.count_of(EventKind::Truncation))
-        .unwrap_or(0);
-    (
-        outcome.acceptance_rate(),
-        outcome.energy_per_job(),
-        truncations,
-    )
+    let (c, _, _) = admission::run_cell(platform, (label, stream), scheduler, policy, budget);
+    (c.acceptance_rate, c.energy_per_job, c.exact_truncations)
 }
 
 /// The exact-path contract an EX-MEM candidate must honor to win: at
@@ -461,13 +416,15 @@ fn exmem_eligible(truncations: u64, uncapped_truncations: u64) -> bool {
     truncations * 2 <= uncapped_truncations
 }
 
-/// Means over `(acceptance, energy)` cells into a [`TuneScore`].
-fn mean_score(cells: &[(f64, f64)]) -> TuneScore {
-    let n = cells.len() as f64;
-    TuneScore {
-        acceptance: cells.iter().map(|c| c.0).sum::<f64>() / n,
-        energy_per_job: cells.iter().map(|c| c.1).sum::<f64>() / n,
-    }
+/// Means over scored runs into a [`TuneScore`], with the runs' summed
+/// budget truncations.
+fn mean_score(runs: &[(f64, f64, u64)]) -> (TuneScore, u64) {
+    let n = runs.len() as f64;
+    let score = TuneScore {
+        acceptance: runs.iter().map(|r| r.0).sum::<f64>() / n,
+        energy_per_job: runs.iter().map(|r| r.1).sum::<f64>() / n,
+    };
+    (score, runs.iter().map(|r| r.2).sum())
 }
 
 /// The deterministic candidate list of the [`AdaptiveBatch`] family:
@@ -601,92 +558,65 @@ pub fn tune_grid(platform: &Platform, library: &[AppRef], opts: &TuneOptions) ->
     let meta = meta_candidates(&mut StdRng::seed_from_u64(opts.seed ^ 0x3e7a), extra / 2);
     let ex = exmem_candidates(&mut StdRng::seed_from_u64(opts.seed ^ 0xe0e0), extra / 2);
 
+    // EX-MEM runs carry only the online node limit in their context
+    // budget: the candidate's rank cap rides in the scheduler instance,
+    // and `tightest()` must not clamp caps above the shipped default.
+    let exmem_budget = SearchBudget::nodes(SearchBudget::ONLINE_WORK_UNITS);
+    let online = SearchBudget::online();
+
     // The uncapped EX-MEM reference pins the truncation bar every capped
     // candidate must clear (see [`exmem_eligible`]). Three serial runs
     // before the fan-out: cheap, and trivially thread-independent.
     let uncapped_truncations: u64 = streams
         .iter()
-        .map(|(_, stream)| {
-            run_exmem_cell(
-                platform,
-                ExMem::new().with_budget(SearchBudget::unbounded()),
-                stream,
-            )
-            .2
+        .map(|stream| {
+            let uncapped = ExMem::new().with_budget(SearchBudget::unbounded());
+            score(platform, stream, uncapped, Immediate, exmem_budget).2
         })
         .sum();
 
     // One flat work index over all families, so slow META and EX-MEM
     // cells steal time from fast policy cells instead of serializing
-    // their family. Policy-family cells (AdaptiveBatch, SlackAware)
-    // share one scoring loop under MMKP-MDF; META and EX-MEM cells are
-    // scored with their own schedulers below. Cells yield
-    // `(score, truncations)`; the truncation axis is only meaningful —
-    // and only nonzero — for EX-MEM cells.
+    // their family. Policy-family cells (AdaptiveBatch, SlackAware) are
+    // scored under MMKP-MDF with a fresh policy instance per stream (the
+    // adaptive policies are stateful); META cells under per-request and
+    // reference-batched admission; EX-MEM cells under `Immediate`. Cells
+    // yield `(score, truncations)`; only the EX-MEM family reports the
+    // truncation axis.
     let total = ab.len() + sa.len() + meta.len() + ex.len();
-    // lint:serial-merge — `truncations` below is a per-cell local,
-    // returned with the cell and merged serially via `scores`.
     let scores = for_each_cell(total, opts.threads, |cell| {
-        // A fresh policy instance per stream — the adaptive policies are
-        // stateful, and state must not leak across scored streams.
-        let policy_factory: Option<Box<dyn Fn() -> Box<dyn AdmissionPolicy>>> = if cell < ab.len() {
+        let runs: Vec<(f64, f64, u64)> = if cell < ab.len() {
             let params = &ab[cell];
-            Some(Box::new(move || Box::new(params.policy())))
+            streams
+                .iter()
+                .map(|s| score(platform, s, MmkpMdf::new(), params.policy(), online))
+                .collect()
         } else if cell < ab.len() + sa.len() {
             let params = &sa[cell - ab.len()];
-            Some(Box::new(move || Box::new(params.policy())))
-        } else {
-            None
-        };
-        if let Some(factory) = policy_factory {
-            let cells: Vec<(f64, f64)> = streams
+            streams
                 .iter()
-                .map(|(_, stream)| {
-                    run_cell(
-                        platform,
-                        amrm_core::MmkpMdf::new(),
-                        factory(),
-                        stream,
-                        SearchBudget::online(),
-                    )
-                })
-                .collect();
-            return (mean_score(&cells), 0);
-        }
-        if cell < ab.len() + sa.len() + meta.len() {
+                .map(|s| score(platform, s, MmkpMdf::new(), params.policy(), online))
+                .collect()
+        } else if cell < ab.len() + sa.len() + meta.len() {
             let params = &meta[cell - ab.len() - sa.len()];
-            let mut cells = Vec::with_capacity(streams.len() * 2);
-            for (_, stream) in &streams {
-                cells.push(run_cell(
-                    platform,
-                    MetaScheduler::with_config(params.config()),
-                    Immediate,
-                    stream,
-                    SearchBudget::online(),
-                ));
-                cells.push(run_cell(
-                    platform,
-                    MetaScheduler::with_config(params.config()),
-                    meta_reference_batch_policy(),
-                    stream,
-                    SearchBudget::online(),
-                ));
-            }
-            return (mean_score(&cells), 0);
-        }
-        // EX-MEM cells: the candidate's rank cap rides in the scheduler
-        // instance, so the context budget carries only the online node
-        // limit — `tightest()` must not clamp caps above the shipped
-        // default.
-        let params = &ex[cell - ab.len() - sa.len() - meta.len()];
-        let mut cells = Vec::with_capacity(streams.len());
-        let mut truncations = 0u64;
-        for (_, stream) in &streams {
-            let (acceptance, energy, trunc) = run_exmem_cell(platform, params.scheduler(), stream);
-            cells.push((acceptance, energy));
-            truncations += trunc;
-        }
-        (mean_score(&cells), truncations)
+            let sched = || MetaScheduler::with_config(params.config());
+            streams
+                .iter()
+                .flat_map(|s| {
+                    [
+                        score(platform, s, sched(), Immediate, online),
+                        score(platform, s, sched(), meta_reference_batch_policy(), online),
+                    ]
+                })
+                .collect()
+        } else {
+            let params = &ex[cell - ab.len() - sa.len() - meta.len()];
+            streams
+                .iter()
+                .map(|s| score(platform, s, params.scheduler(), Immediate, exmem_budget))
+                .collect()
+        };
+        mean_score(&runs)
     });
 
     let (ab_cells, rest) = scores.split_at(ab.len());
@@ -913,17 +843,6 @@ pub fn tune_report(report: &TuneReport) -> String {
         report.exmem.uncapped_truncations,
     ));
     out
-}
-
-/// Writes a tune report as pretty-printed JSON.
-///
-/// # Errors
-///
-/// Returns any I/O or serialization error.
-pub fn write_json(path: impl AsRef<std::path::Path>, report: &TuneReport) -> std::io::Result<()> {
-    let file = std::fs::File::create(path)?;
-    serde_json::to_writer_pretty(std::io::BufWriter::new(file), report)
-        .map_err(std::io::Error::other)
 }
 
 #[cfg(test)]
