@@ -233,7 +233,8 @@ impl MappingCache {
     /// # Errors
     ///
     /// Returns the underlying I/O error, or `InvalidData` when the file
-    /// is not a version-1 cache.
+    /// is not a version-1 cache or an exact entry's `choice` does not
+    /// have one slot per job of its `state`.
     pub fn load(path: impl AsRef<Path>) -> std::io::Result<MappingCache> {
         let file = File::open(path)?;
         serde_json::from_reader(BufReader::new(file))
@@ -399,10 +400,20 @@ impl Deserialize for MappingCache {
                 .as_str()
                 .ok_or_else(|| Error::new("cache entry `kind` must be a string"))?;
             let val = match kind {
-                "exact" => MemoVal::Exact {
-                    energy: f64::from_bits(u64::from_value(get_field(entry, "energy_bits")?)?),
-                    choice: choice_from_value(get_field(entry, "choice")?)?,
-                },
+                "exact" => {
+                    let choice = choice_from_value(get_field(entry, "choice")?)?;
+                    if choice.len() != key.1.len() {
+                        return Err(Error::new(format!(
+                            "cache entry `choice` has {} slots for {} jobs in its `state`",
+                            choice.len(),
+                            key.1.len()
+                        )));
+                    }
+                    MemoVal::Exact {
+                        energy: f64::from_bits(u64::from_value(get_field(entry, "energy_bits")?)?),
+                        choice,
+                    }
+                }
                 "infeasible" => MemoVal::Infeasible,
                 other => {
                     return Err(Error::new(format!(
@@ -444,7 +455,7 @@ mod tests {
         let job = Job::new(JobId(7), app("alpha", 3.5), 0.0, 9.25, 1.0);
         cache.signatures.insert(7, JobSig::of(&job));
         cache.memo.insert(
-            (100, vec![(7, 500_000_000)]),
+            (100, vec![(7, 500_000_000), (8, 250_000_000)]),
             MemoVal::Exact {
                 energy: 1.75,
                 choice: vec![Some(0), None],
@@ -475,7 +486,10 @@ mod tests {
         let back = MappingCache::from_value(&cache.to_value()).expect("roundtrip must deserialize");
         assert_eq!(back.len(), 2, "only proofs are persisted");
         assert_eq!(back.warm_len(), 2, "loaded keys are all warm");
-        match back.memo.get(&(100, vec![(7, 500_000_000)])) {
+        match back
+            .memo
+            .get(&(100, vec![(7, 500_000_000), (8, 250_000_000)]))
+        {
             Some(MemoVal::Exact { energy, choice }) => {
                 assert_eq!(energy.to_bits(), 1.75f64.to_bits());
                 assert_eq!(choice, &vec![Some(0), None]);

@@ -245,13 +245,6 @@ impl ExMem {
         self
     }
 
-    /// Caps this instance's search at `limit` work units per activation
-    /// (composed with the context budget via [`SearchBudget::tightest`]).
-    #[must_use]
-    pub fn with_node_budget(self, limit: u64) -> Self {
-        self.with_budget(SearchBudget::nodes(limit))
-    }
-
     /// The default memo-size cap (see `MEMO_CAP`), exposed so the tune
     /// search can anchor its candidate grid on the shipped value.
     pub const DEFAULT_MEMO_CAP: usize = MEMO_CAP;
@@ -934,7 +927,8 @@ fn push_candidate(
 /// from the root state. `Exact` entries trace the optimal path; `Anytime`
 /// entries trace the best feasible path a truncated search recorded.
 /// Returns `None` if the path breaks (a later exhaustive pass replaced an
-/// anytime entry with a bound) — the caller then degrades to the MDF
+/// anytime entry with a bound, or a loaded cache names an operating point
+/// the job's application lacks) — the caller then degrades to the MDF
 /// fallback.
 fn reconstruct(
     jobs: &[Job],
@@ -952,6 +946,9 @@ fn reconstruct(
         let mut delta = f64::INFINITY;
         for (slot, &(ji, rho)) in state.iter().enumerate() {
             if let Some(cfg) = choice[slot] {
+                if cfg >= jobs[ji].app().num_points() {
+                    return None;
+                }
                 delta = delta.min(jobs[ji].point(cfg).time() * rho);
             }
         }
@@ -1448,6 +1445,42 @@ mod tests {
             fresh.energy(&shifted).to_bits(),
             "the revalidated run must match a cold instance bit for bit"
         );
+    }
+
+    #[test]
+    fn corrupt_cache_choices_fail_to_load_or_fall_back_to_mdf() {
+        // Well-formed version-1 files whose two-job exact entries (the
+        // root included) name a missing point or have the wrong length.
+        let platform = scenarios::platform();
+        let jobs = scenarios::s1_jobs_at_t1();
+        let mut cold = ExMem::new();
+        cold.schedule_at(&jobs, &platform, 1.0).unwrap();
+        let path = std::env::temp_dir().join("amrm_exmem_corrupt.cache.json");
+        for bad in [vec![Some(99), Some(99)], vec![]] {
+            let mut cache = cold.cache().clone();
+            for val in cache.memo.values_mut() {
+                if let MemoVal::Exact { choice, .. } = val {
+                    if choice.len() == 2 {
+                        choice.clone_from(&bad);
+                    }
+                }
+            }
+            cache.save(&path).unwrap();
+            match MappingCache::load(&path) {
+                Ok(loaded) => {
+                    assert!(!bad.is_empty(), "a wrong slot count must not load");
+                    let s = ExMem::new()
+                        .with_cache(loaded)
+                        .schedule_at(&jobs, &platform, 1.0)
+                        .expect("a broken path falls back to the MDF schedule");
+                    s.validate(&jobs, &platform, 1.0).unwrap();
+                }
+                Err(e) => {
+                    assert!(bad.is_empty(), "a bad point index must load: {e}");
+                    assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
+                }
+            }
+        }
     }
 
     #[test]

@@ -244,10 +244,10 @@ pub fn run_grid(
 }
 
 /// Renders a grid as a text table, one row per (stream, policy,
-/// scheduler). The queue-wait tail column comes from the *streaming*
-/// log-bucketed histogram — exact over the whole run in O(1) memory —
-/// rather than the telemetry's bounded recent-window percentile ring
-/// (which remains the adaptive policies' control signal).
+/// scheduler). The queue-wait tail column is the telemetry ring's
+/// linear-interpolated p95, the same signal META's budget regime reads;
+/// it is exact for grid cells, which flush at most
+/// [`amrm_metrics::Telemetry::SAMPLE_CAPACITY`] requests.
 pub fn admission_report(cells: &[Cell]) -> String {
     let mut out = String::from(
         "Admission-policy A/B: fixed and adaptive batching vs the paper's per-request discipline\n\n",
@@ -279,7 +279,7 @@ pub fn admission_report(cells: &[Cell]) -> String {
             c.exact_truncations.to_string(),
             c.rank_pruned.to_string(),
             c.cache_warm_hits.to_string(),
-            format!("{:.2}", c.telemetry.queue_wait_hist.p95),
+            format!("{:.2}", c.telemetry.queue_wait_p95),
         ]);
     }
     out.push_str(&t.to_string());
@@ -446,6 +446,14 @@ mod tests {
         assert!(report.contains("SlackAware"));
         assert!(report.contains(MDF_NAME));
         assert!(report.contains("poisson"));
+        // Title, blank line, header and rule, then one row per cell whose
+        // last column is the ring's queue-wait p95.
+        let rows: Vec<&str> = report.lines().skip(4).take(cells.len()).collect();
+        assert_eq!(rows.len(), cells.len());
+        for (row, c) in rows.iter().zip(&cells) {
+            let p95 = format!("{:.2}", c.telemetry.queue_wait_p95);
+            assert_eq!(row.split_whitespace().last(), Some(p95.as_str()), "{row}");
+        }
     }
 
     #[test]

@@ -66,9 +66,12 @@ fn million_request_stream_completes_within_bounds() {
         calls_per_request <= 20.0,
         "{calls_per_request:.1} allocations per request on the MDF cell (> 20)"
     );
-    // Peak memory bound: the pulled requests/decisions are the only
-    // O(requests) state (~50 MiB at 1M); 512 MiB catches any
-    // accidentally re-materialized stream or trace accumulation.
+    // Peak memory bound: profile runs are aggregated, so each decided
+    // request is folded into counters and its slot recycled; nothing
+    // grows with the request count (a whole 1M-request `repro profile`,
+    // EX-MEM memo included, peaked at 46 MiB live on a 2-vCPU VM).
+    // 512 MiB catches any accidentally re-materialized stream or trace
+    // accumulation.
     let peak = CountingAllocator::peak_bytes();
     assert!(
         peak < 512 * 1024 * 1024,

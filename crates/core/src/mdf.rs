@@ -383,8 +383,13 @@ mod tests {
         // 1.38 J; σ2's is 0.71 J → σ1 must be mapped first and get 2L1B.
         let jobs = scenarios::s1_jobs_at_t1();
         let platform = scenarios::platform();
-        let containers = platform.counts().scale(8.0);
-        let (first, cl) = next_job_mdf(&jobs, containers.as_slice(), &platform, 1.0).unwrap();
+        // J = Θ × 8 s of core-seconds per type.
+        let containers: Vec<f64> = platform
+            .counts()
+            .iter()
+            .map(|c| f64::from(c) * 8.0)
+            .collect();
+        let (first, cl) = next_job_mdf(&jobs, &containers, &platform, 1.0).unwrap();
         assert_eq!(first, JobId(1));
         // Best config of σ1 is 2L1B (index 6).
         assert_eq!(cl[0], 6);

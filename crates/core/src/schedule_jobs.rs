@@ -277,6 +277,18 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn edf_order_breaks_deadline_ties_by_id() {
+        let jobs = [
+            Job::new(JobId(5), scenarios::lambda1(), 0.0, 5.0, 1.0),
+            Job::new(JobId(1), scenarios::lambda1(), 0.0, 9.0, 1.0),
+            Job::new(JobId(2), scenarios::lambda2(), 0.0, 5.0, 1.0),
+        ];
+        let mut order = Vec::new();
+        edf_order(&jobs, &mut order);
+        assert_eq!(order, vec![2, 0, 1]);
+    }
+
+    #[test]
     fn reproduces_fig1c_packing() {
         let jobs = scenarios::s1_jobs_at_t1();
         // Index 6 is the 2L1B row in both Table II fixtures.

@@ -9,8 +9,9 @@
 //! read — plus the [`instrument`] layer: thread-local hot-path counters
 //! and an opt-in counting global allocator behind `repro profile` — plus
 //! the observability layer: the deterministic structured event
-//! [`journal`] ([`TraceSink`], JSONL and Chrome-trace exporters) and
-//! O(1)-memory log-bucketed streaming histograms ([`LogHistogram`]).
+//! [`journal`] ([`TraceSink`], JSONL and Chrome-trace exporters).
+//! Queue-wait percentiles have one source, [`Telemetry`]'s sample ring:
+//! it steers META's budget regime and fills the summary's p50/p95/p99.
 //!
 //! # Examples
 //!
@@ -23,7 +24,6 @@
 //! assert!(BoxplotStats::from_samples(&rel).unwrap().median > 1.0);
 //! ```
 
-pub mod histogram;
 pub mod instrument;
 pub mod invariant;
 pub mod journal;
@@ -31,7 +31,6 @@ mod stats;
 mod table;
 pub mod telemetry;
 
-pub use crate::histogram::{HistogramSummary, LogHistogram};
 pub use crate::instrument::{CounterSnapshot, CountingAllocator};
 pub use crate::journal::{
     EventKind, Journal, JournalConfig, JournalEvent, RejectReason, TraceSink,

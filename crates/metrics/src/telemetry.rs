@@ -35,7 +35,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::histogram::{HistogramSummary, LogHistogram};
 use crate::stats::Percentiles;
 
 /// A fixed-capacity ring of `f64` samples: pushing beyond capacity
@@ -234,15 +233,11 @@ impl Default for TelemetrySnapshot {
 /// End-of-run condensation of the telemetry series, embedded in
 /// `SimOutcome` and (per admission-grid cell) in the perf baseline.
 ///
-/// Percentiles are computed over bounded sample rings (the most recent
-/// [`Telemetry::SAMPLE_CAPACITY`] samples) and default to 0.0 when a
-/// series is empty. Every field is simulated time or state, so a summary
-/// is reproducible per seed.
-///
-/// The `*_hist` summaries come from streaming [`LogHistogram`]s that see
-/// **every** sample of the run (not just the bounded rings), at O(1)
-/// memory — the distribution aggregates bench reporting uses for
-/// multi-million-request aggregated runs.
+/// The queue-wait percentiles are linear-interpolated over the sample
+/// ring: exact for a run of at most [`Telemetry::SAMPLE_CAPACITY`]
+/// flushed requests, over the most recent that many beyond it, and 0.0
+/// when no request was flushed. Every field is simulated time or state,
+/// so a summary is reproducible per seed.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct TelemetrySummary {
     /// Arrivals observed.
@@ -273,13 +268,6 @@ pub struct TelemetrySummary {
     pub queue_wait_p95: f64,
     /// 99th-percentile queue wait, simulated seconds.
     pub queue_wait_p99: f64,
-    /// Whole-run queue-wait distribution (simulated seconds), streamed
-    /// through a log-bucketed histogram.
-    pub queue_wait_hist: HistogramSummary,
-    /// Whole-run slack-at-admission distribution: `deadline − now` of
-    /// each **admitted** request at its decision instant, simulated
-    /// seconds.
-    pub admission_slack_hist: HistogramSummary,
 }
 
 /// The online telemetry recorder owned by the simulation kernel.
@@ -307,11 +295,6 @@ pub struct Telemetry {
     /// A `Cell` because the lazily recomputed value must be stored from
     /// the `&self` snapshot path (the recorder stays `Send`).
     queue_wait_p95_cache: std::cell::Cell<Option<f64>>,
-    /// Whole-run streaming distributions (the rings above cap at
-    /// [`Telemetry::SAMPLE_CAPACITY`]; these see every sample at O(1)
-    /// memory).
-    queue_wait_hist: LogHistogram,
-    admission_slack_hist: LogHistogram,
     total_energy: f64,
     total_accepted: usize,
     queue_drops: usize,
@@ -340,8 +323,6 @@ impl Telemetry {
             acceptance: RingBuffer::new(Self::ACCEPTANCE_WINDOW),
             queue_wait: RingBuffer::new(Self::SAMPLE_CAPACITY),
             queue_wait_p95_cache: std::cell::Cell::new(None),
-            queue_wait_hist: LogHistogram::new(),
-            admission_slack_hist: LogHistogram::new(),
             total_energy: 0.0,
             total_accepted: 0,
             queue_drops: 0,
@@ -408,19 +389,12 @@ impl Telemetry {
     pub fn record_queue_wait(&mut self, wait: f64) {
         let wait = wait.max(0.0);
         let evicted = self.queue_wait.push(wait);
-        self.queue_wait_hist.record(wait);
         // A full ring that evicts a sample with the pushed sample's bits
         // holds the same multiset as before, so the cached p95 still holds
         // (every wait is 0 under `Immediate` admission).
         if evicted.map(f64::to_bits) != Some(wait.to_bits()) {
             self.queue_wait_p95_cache.set(None);
         }
-    }
-
-    /// Records the remaining slack (`deadline − now`) of one **admitted**
-    /// request at its decision instant.
-    pub fn record_admission_slack(&mut self, slack: f64) {
-        self.admission_slack_hist.record(slack.max(0.0));
     }
 
     /// Records the decisions of one flushed batch for the rolling
@@ -565,8 +539,6 @@ impl Telemetry {
             queue_wait_p50: wait.p50,
             queue_wait_p95: wait.p95,
             queue_wait_p99: wait.p99,
-            queue_wait_hist: self.queue_wait_hist.summary(),
-            admission_slack_hist: self.admission_slack_hist.summary(),
         }
     }
 }
@@ -756,23 +728,5 @@ mod tests {
         let text = serde_json::to_string(&s).unwrap();
         let back: TelemetrySummary = serde_json::from_str(&text).unwrap();
         assert_eq!(back, s);
-    }
-
-    #[test]
-    fn streaming_histograms_see_every_sample_not_just_the_ring() {
-        let mut t = Telemetry::new();
-        let n = Telemetry::SAMPLE_CAPACITY * 3;
-        for i in 0..n {
-            t.record_queue_wait(i as f64 * 0.01);
-        }
-        t.record_activation(0.5);
-        t.record_admission_slack(4.0);
-        let s = t.summary();
-        // The ring keeps only the last SAMPLE_CAPACITY samples; the
-        // histogram counted all of them.
-        assert_eq!(s.queue_wait_hist.count, n as u64);
-        assert_eq!(s.admission_slack_hist.count, 1);
-        assert!(s.queue_wait_hist.p95 > 0.0);
-        assert!((s.admission_slack_hist.max - 4.0).abs() < 1e-12);
     }
 }

@@ -181,13 +181,6 @@ impl JobSet {
     pub fn max_deadline(&self) -> Option<f64> {
         self.jobs.iter().map(Job::deadline).max_by(f64::total_cmp)
     }
-
-    /// Job ids sorted by non-decreasing deadline (EDF order, Algorithm 2).
-    pub fn ids_by_deadline(&self) -> Vec<JobId> {
-        let mut ids: Vec<(JobId, f64)> = self.jobs.iter().map(|j| (j.id(), j.deadline())).collect();
-        ids.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-        ids.into_iter().map(|(id, _)| id).collect()
-    }
 }
 
 impl FromIterator<Job> for JobSet {
@@ -258,7 +251,7 @@ mod tests {
     }
 
     #[test]
-    fn jobset_lookup_and_edf_order() {
+    fn jobset_lookup_and_max_deadline() {
         let a = toy_app();
         let set = JobSet::new(vec![
             Job::new(JobId(1), AppRef::clone(&a), 0.0, 9.0, 1.0),
@@ -268,18 +261,7 @@ mod tests {
         assert_eq!(set.len(), 3);
         assert!(set.get(JobId(2)).is_some());
         assert!(set.get(JobId(9)).is_none());
-        assert_eq!(set.ids_by_deadline(), vec![JobId(2), JobId(3), JobId(1)]);
         assert!((set.max_deadline().unwrap() - 9.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn edf_ties_break_by_id() {
-        let a = toy_app();
-        let set = JobSet::new(vec![
-            Job::new(JobId(5), AppRef::clone(&a), 0.0, 5.0, 1.0),
-            Job::new(JobId(2), a, 0.0, 5.0, 1.0),
-        ]);
-        assert_eq!(set.ids_by_deadline(), vec![JobId(2), JobId(5)]);
     }
 
     #[test]

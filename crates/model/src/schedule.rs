@@ -89,20 +89,6 @@ impl Segment {
         self.mapping_for(job).is_some()
     }
 
-    /// Adds a job mapping.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the job is already mapped in this segment (constraint 2c).
-    pub fn add_mapping(&mut self, mapping: JobMapping) {
-        assert!(
-            !self.contains_job(mapping.job),
-            "job {} already mapped in segment",
-            mapping.job
-        );
-        self.mappings.push(mapping);
-    }
-
     /// Aggregate core demand `Σν θ` of the segment on a platform with
     /// `num_types` resource types.
     pub fn demand(&self, jobs: &JobSet, num_types: usize) -> ResourceVec {
@@ -113,25 +99,6 @@ impl Segment {
             }
         }
         total
-    }
-
-    /// Splits the segment at time `at`, cloning the mappings into both
-    /// halves (the SPLIT operation of Algorithm 2, line 13).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `start < at < end`.
-    pub fn split_at(&self, at: f64) -> (Segment, Segment) {
-        assert!(
-            self.start < at && at < self.end,
-            "split point {at} outside segment ({}..{})",
-            self.start,
-            self.end
-        );
-        (
-            Segment::new(self.start, at, self.mappings.clone()),
-            Segment::new(at, self.end, self.mappings.clone()),
-        )
     }
 }
 
@@ -228,27 +195,6 @@ impl Schedule {
             );
         }
         self.segments.push(segment);
-    }
-
-    /// Adds a mapping to the segment at `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range or the job is already mapped there.
-    pub fn add_mapping_to(&mut self, index: usize, mapping: JobMapping) {
-        self.segments[index].add_mapping(mapping);
-    }
-
-    /// Replaces the segment at `index` by its two halves split at `at`
-    /// (Algorithm 2, line 13/15).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range or `at` is not inside the segment.
-    pub fn split_segment(&mut self, index: usize, at: f64) {
-        let (a, b) = self.segments[index].split_at(at);
-        self.segments[index] = a;
-        self.segments.insert(index + 1, b);
     }
 
     /// Total energy of the schedule per objective (2a):
@@ -452,9 +398,11 @@ mod tests {
         ]);
         // Both on 2L1B concurrently: 4L2B > 2L2B.
         let mut s = Schedule::new();
-        let mut seg = Segment::new(0.0, 3.0, vec![JobMapping::new(JobId(1), 0)]);
-        seg.add_mapping(JobMapping::new(JobId(2), 0));
-        s.push(seg);
+        s.push(Segment::new(
+            0.0,
+            3.0,
+            vec![JobMapping::new(JobId(1), 0), JobMapping::new(JobId(2), 0)],
+        ));
         let platform = Platform::motivational_2l2b();
         match s.validate(&jobs, &platform, 0.0) {
             Err(ScheduleError::ResourceOverflow { segment: 0, .. }) => {}
@@ -501,7 +449,6 @@ mod tests {
     #[test]
     fn duplicate_mapping_detected_by_validate() {
         let jobs = JobSet::new(vec![Job::new(JobId(1), lambda1(), 0.0, 20.0, 1.0)]);
-        // Bypass add_mapping's assertion by constructing the segment directly.
         let seg = Segment::new(
             0.0,
             5.3,
@@ -539,24 +486,6 @@ mod tests {
             s.validate(&jobs, &platform, 0.0),
             Err(ScheduleError::BadPoint { .. })
         ));
-    }
-
-    #[test]
-    fn split_preserves_mappings_and_total_duration() {
-        let seg = Segment::new(1.0, 4.0, vec![JobMapping::new(JobId(2), 0)]);
-        let (a, b) = seg.split_at(2.5);
-        assert_eq!(a.mappings(), seg.mappings());
-        assert_eq!(b.mappings(), seg.mappings());
-        assert!((a.duration() + b.duration() - seg.duration()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn split_segment_keeps_schedule_ordered() {
-        let (mut s, _) = fig1c();
-        s.split_segment(0, 2.0);
-        assert_eq!(s.num_segments(), 3);
-        assert!((s.segments()[0].end() - 2.0).abs() < 1e-12);
-        assert!((s.segments()[1].start() - 2.0).abs() < 1e-12);
     }
 
     #[test]

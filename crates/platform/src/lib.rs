@@ -22,7 +22,7 @@ mod resources;
 
 pub use crate::core_type::{CoreType, FrequencyLevel};
 pub use crate::platform::{Platform, PlatformBuilder};
-pub use crate::resources::{CapacityVec, ResourceVec};
+pub use crate::resources::ResourceVec;
 
 /// Tolerance used for floating-point time/capacity comparisons throughout
 /// the workspace.
@@ -43,7 +43,6 @@ mod tests {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Platform>();
         assert_send_sync::<ResourceVec>();
-        assert_send_sync::<CapacityVec>();
         assert_send_sync::<CoreType>();
     }
 }

@@ -2,12 +2,10 @@
 //!
 //! The paper models a heterogeneous platform with `m` *resource types*
 //! (core clusters) and a core-count vector `Θ = (Θ1, …, Θm)`. Operating
-//! points demand an integral number of cores per type (a [`ResourceVec`]),
-//! while the MMKP containers `J` of Algorithm 1 hold *processing time* per
-//! type, a real-valued [`CapacityVec`].
+//! points demand an integral number of cores per type (a [`ResourceVec`]).
 
 use std::fmt;
-use std::ops::{Add, AddAssign, Index, Sub, SubAssign};
+use std::ops::{Add, AddAssign, Index, Sub};
 
 use serde::{Deserialize, Serialize};
 
@@ -76,12 +74,6 @@ impl ResourceVec {
                 .map(|(a, b)| a.saturating_sub(*b))
                 .collect(),
         )
-    }
-
-    /// Scales every component by a (non-negative) duration, producing the
-    /// processing-time weight `θ · t` used by the knapsack formulation.
-    pub fn scale(&self, t: f64) -> CapacityVec {
-        CapacityVec(self.0.iter().map(|&c| f64::from(c) * t).collect())
     }
 
     /// Iterates over the per-type counts.
@@ -160,105 +152,6 @@ impl fmt::Display for ResourceVec {
     }
 }
 
-/// A real-valued per-resource-type capacity, measured in core-seconds.
-///
-/// This is the container vector `J` of Algorithm 1: each component holds the
-/// remaining processing time available on one core type within the analysis
-/// horizon.
-///
-/// # Examples
-///
-/// ```
-/// use amrm_platform::{CapacityVec, ResourceVec};
-///
-/// // 2 little + 2 big cores over an 8 s horizon.
-/// let mut j = ResourceVec::from_slice(&[2, 2]).scale(8.0);
-/// let demand = ResourceVec::from_slice(&[2, 1]).scale(4.3);
-/// assert!(demand.fits_within(&j));
-/// j.consume(&demand);
-/// assert!((j[0] - 7.4).abs() < 1e-9);
-/// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
-pub struct CapacityVec(Vec<f64>);
-
-impl CapacityVec {
-    /// Creates a capacity of `m` zero components.
-    pub fn zeros(m: usize) -> Self {
-        CapacityVec(vec![0.0; m])
-    }
-
-    /// Creates a capacity from explicit per-type core-seconds.
-    pub fn from_slice(values: &[f64]) -> Self {
-        CapacityVec(values.to_vec())
-    }
-
-    /// Number of resource types `m`.
-    pub fn num_types(&self) -> usize {
-        self.0.len()
-    }
-
-    /// Component-wise `self ≤ other` with a small tolerance.
-    pub fn fits_within(&self, other: &CapacityVec) -> bool {
-        assert_eq!(self.0.len(), other.0.len(), "resource type count mismatch");
-        self.0
-            .iter()
-            .zip(&other.0)
-            .all(|(a, b)| *a <= *b + crate::EPS)
-    }
-
-    /// Subtracts `other` component-wise, clamping at zero to absorb
-    /// floating-point jitter.
-    pub fn consume(&mut self, other: &CapacityVec) {
-        assert_eq!(self.0.len(), other.0.len(), "resource type count mismatch");
-        for (a, b) in self.0.iter_mut().zip(&other.0) {
-            *a = (*a - *b).max(0.0);
-        }
-    }
-
-    /// Iterates over the per-type core-seconds.
-    pub fn iter(&self) -> impl Iterator<Item = f64> + '_ {
-        self.0.iter().copied()
-    }
-
-    /// The values as a slice.
-    pub fn as_slice(&self) -> &[f64] {
-        &self.0
-    }
-}
-
-impl Index<usize> for CapacityVec {
-    type Output = f64;
-
-    fn index(&self, k: usize) -> &f64 {
-        &self.0[k]
-    }
-}
-
-impl SubAssign<&CapacityVec> for CapacityVec {
-    fn sub_assign(&mut self, rhs: &CapacityVec) {
-        self.consume(rhs);
-    }
-}
-
-impl FromIterator<f64> for CapacityVec {
-    fn from_iter<I: IntoIterator<Item = f64>>(iter: I) -> Self {
-        CapacityVec(iter.into_iter().collect())
-    }
-}
-
-impl fmt::Display for CapacityVec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "(")?;
-        for (i, c) in self.0.iter().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            write!(f, "{c:.3}")?;
-        }
-        write!(f, ")")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -321,26 +214,6 @@ mod tests {
     }
 
     #[test]
-    fn scale_produces_core_seconds() {
-        let v = ResourceVec::from_slice(&[2, 1]).scale(3.0);
-        assert_eq!(v.as_slice(), &[6.0, 3.0]);
-    }
-
-    #[test]
-    fn capacity_consume_clamps_at_zero() {
-        let mut j = CapacityVec::from_slice(&[1.0, 5.0]);
-        j.consume(&CapacityVec::from_slice(&[2.0, 1.0]));
-        assert_eq!(j.as_slice(), &[0.0, 4.0]);
-    }
-
-    #[test]
-    fn capacity_fits_with_tolerance() {
-        let a = CapacityVec::from_slice(&[1.0 + 1e-12]);
-        let b = CapacityVec::from_slice(&[1.0]);
-        assert!(a.fits_within(&b));
-    }
-
-    #[test]
     fn add_assign_accumulates() {
         let mut a = ResourceVec::zeros(2);
         a += &ResourceVec::from_slice(&[1, 2]);
@@ -357,7 +230,5 @@ mod tests {
     fn collects_from_iterators() {
         let r: ResourceVec = [1u32, 2].into_iter().collect();
         assert_eq!(r, ResourceVec::from_slice(&[1, 2]));
-        let c: CapacityVec = [1.0f64, 2.0].into_iter().collect();
-        assert_eq!(c, CapacityVec::from_slice(&[1.0, 2.0]));
     }
 }

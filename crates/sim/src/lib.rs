@@ -197,14 +197,13 @@ pub fn run_scenario_sequential<S: Scheduler>(
         let admission = rm.submit(amrm_model::AppRef::clone(&req.app), req.deadline);
         // … and the post-decision samples (gathering latency 0 under
         // per-request admission, rolling acceptance, energy per job,
-        // drained queue depth, an admitted request's slack).
+        // drained queue depth).
         telemetry.record_activation(0.0);
         let accepted = usize::from(admission.is_accepted());
         telemetry.record_decisions(accepted, 1 - accepted);
         telemetry.record_energy(rm.total_energy(), rm.stats().accepted);
         telemetry.record_queue_depth(0);
         if let Admission::Accepted { job } = admission {
-            telemetry.record_admission_slack(req.deadline - rm.now());
             admitted.push(Job::new(
                 job,
                 amrm_model::AppRef::clone(&req.app),

@@ -1032,8 +1032,6 @@ impl<S: Scheduler, A: AdmissionPolicy> Simulation<S, A> {
             if let Admission::Accepted { job } = admission {
                 accepted += 1;
                 self.accepted_total += 1;
-                self.telemetry
-                    .record_admission_slack(self.requests[i].deadline - now);
                 if self.journal.is_enabled() {
                     let jid = self.journal_ids[i];
                     if self.journal_samples(jid) {

@@ -69,25 +69,35 @@ pub fn save_stream(path: impl AsRef<Path>, stream: &[ScenarioRequest]) -> std::i
 ///
 /// # Errors
 ///
-/// Returns any I/O or deserialization error, or an
-/// [`InvalidData`](std::io::ErrorKind::InvalidData) error naming the
-/// first application the library does not contain.
+/// Returns any I/O error, or an
+/// [`InvalidData`](std::io::ErrorKind::InvalidData) error for a file that
+/// is not a JSON array of records, naming the first record whose
+/// application the library does not contain, whose times are not finite,
+/// or whose deadline precedes its arrival.
 pub fn load_stream(
     path: impl AsRef<Path>,
     library: &[AppRef],
 ) -> std::io::Result<Vec<ScenarioRequest>> {
+    let invalid = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidData, msg);
     let file = File::open(path)?;
-    let records: Vec<StreamRecord> =
-        serde_json::from_reader(BufReader::new(file)).map_err(std::io::Error::other)?;
+    let records: Vec<StreamRecord> = serde_json::from_reader(BufReader::new(file))
+        .map_err(|e| invalid(format!("malformed stream file: {e}")))?;
     records
         .into_iter()
-        .map(|r| {
+        .enumerate()
+        .map(|(i, r)| {
             let app = library.iter().find(|a| a.name() == r.app).ok_or_else(|| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("application `{}` not in the provided library", r.app),
-                )
+                invalid(format!(
+                    "record {i}: application `{}` not in the provided library",
+                    r.app
+                ))
             })?;
+            if !(r.arrival.is_finite() && r.deadline.is_finite() && r.deadline >= r.arrival) {
+                return Err(invalid(format!(
+                    "record {i}: arrival {} and deadline {} must be finite and ordered",
+                    r.arrival, r.deadline
+                )));
+            }
             Ok(ScenarioRequest {
                 app: AppRef::clone(app),
                 arrival: r.arrival,
@@ -165,5 +175,24 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("λ2"), "{err}");
+    }
+
+    #[test]
+    fn loading_a_stream_with_impossible_times_names_the_record() {
+        let lib = [scenarios::lambda1()];
+        let path = std::env::temp_dir().join("amrm_stream_bad_times.json");
+        for records in [
+            r#"[{"app":"λ1","arrival":0.0,"deadline":2.0},{"app":"λ1","arrival":5.0,"deadline":1.0}]"#,
+            r#"[{"app":"λ1","arrival":0.0,"deadline":2.0},{"app":"λ1","arrival":0.0,"deadline":1e999}]"#,
+        ] {
+            std::fs::write(&path, records).unwrap();
+            let err = load_stream(&path, &lib).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("record 1"), "{err}");
+        }
+        std::fs::write(&path, r#"[{"app":"λ1","arrival":0.0"#).unwrap();
+        let err = load_stream(&path, &lib).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        let _ = std::fs::remove_file(&path);
     }
 }

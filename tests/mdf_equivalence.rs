@@ -23,17 +23,59 @@ use std::sync::OnceLock;
 use amrm::core::{schedule_jobs, JobOrderPolicy, MmkpMdf, MmkpVariant, Scheduler};
 use amrm::dataflow::apps;
 use amrm::model::{AppRef, Job, JobId, JobMapping, JobSet, Schedule, Segment};
-use amrm::platform::{CapacityVec, Platform, EPS};
+use amrm::platform::{Platform, ResourceVec, EPS};
 use amrm::workload::scenarios;
 use proptest::prelude::*;
 
 /// Frozen copy of the original remaining-ratio threshold of the packer.
 const RHO_EPS: f64 = 1e-12;
 
+/// Frozen copy of the original `ResourceVec::scale`: per-type
+/// core-seconds `θ · t`, the containers `J` of Algorithm 1.
+fn scale(cores: &ResourceVec, t: f64) -> Vec<f64> {
+    cores.iter().map(|c| f64::from(c) * t).collect()
+}
+
+/// Frozen copy of the original `CapacityVec::fits_within`.
+fn fits(demand: &[f64], containers: &[f64]) -> bool {
+    demand.iter().zip(containers).all(|(a, b)| *a <= *b + EPS)
+}
+
+/// Frozen copy of the original `CapacityVec::consume`.
+fn consume(containers: &mut [f64], demand: &[f64]) {
+    for (a, b) in containers.iter_mut().zip(demand) {
+        *a = (*a - *b).max(0.0);
+    }
+}
+
+/// Frozen copy of the original `JobSet::ids_by_deadline`.
+fn ids_by_deadline(jobs: &JobSet) -> Vec<JobId> {
+    let mut ids: Vec<(JobId, f64)> = jobs.iter().map(|j| (j.id(), j.deadline())).collect();
+    ids.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+    ids.into_iter().map(|(id, _)| id).collect()
+}
+
+/// Frozen copy of the original `Schedule::add_mapping_to`.
+fn add_mapping_to(segments: &mut [Segment], index: usize, mapping: JobMapping) {
+    let seg = &segments[index];
+    let mappings = [seg.mappings(), &[mapping]].concat();
+    segments[index] = Segment::new(seg.start(), seg.end(), mappings);
+}
+
+/// Frozen copy of the original `Schedule::split_segment`.
+fn split_segment(segments: &mut Vec<Segment>, index: usize, at: f64) {
+    let seg = segments[index].clone();
+    segments[index] = Segment::new(seg.start(), at, seg.mappings().to_vec());
+    segments.insert(
+        index + 1,
+        Segment::new(at, seg.end(), seg.mappings().to_vec()),
+    );
+}
+
 /// Frozen copy of the original `feasible_configs`.
 fn reference_feasible_configs(
     job: &Job,
-    containers: &CapacityVec,
+    containers: &[f64],
     platform: &Platform,
     now: f64,
 ) -> Vec<usize> {
@@ -42,9 +84,10 @@ fn reference_feasible_configs(
             let p = job.point(j);
             job.meets_deadline_with(j, now)
                 && p.resources().fits_within(platform.counts())
-                && p.resources()
-                    .scale(p.time() * job.remaining())
-                    .fits_within(containers)
+                && fits(
+                    &scale(p.resources(), p.time() * job.remaining()),
+                    containers,
+                )
         })
         .collect();
     list.sort_by(|&a, &b| {
@@ -59,7 +102,7 @@ fn reference_feasible_configs(
 fn reference_next_job_mdf(
     jobs: &JobSet,
     assigned: &HashMap<JobId, usize>,
-    containers: &CapacityVec,
+    containers: &[f64],
     platform: &Platform,
     now: f64,
 ) -> Option<(JobId, Vec<usize>)> {
@@ -97,7 +140,7 @@ fn reference_mdf(jobs: &JobSet, platform: &Platform, now: f64) -> Option<Schedul
     if horizon <= 0.0 {
         return None;
     }
-    let mut containers = platform.counts().scale(horizon);
+    let mut containers = scale(platform.counts(), horizon);
     let mut assigned: HashMap<JobId, usize> = HashMap::new();
     let mut schedule = Schedule::new();
     while assigned.len() < jobs.len() {
@@ -110,7 +153,10 @@ fn reference_mdf(jobs: &JobSet, platform: &Platform, now: f64) -> Option<Schedul
             trial.insert(target, j_star);
             if let Some(built) = reference_schedule_jobs(jobs, &trial, platform, now) {
                 let p = job.point(j_star);
-                containers.consume(&p.resources().scale(p.time() * job.remaining()));
+                consume(
+                    &mut containers,
+                    &scale(p.resources(), p.time() * job.remaining()),
+                );
                 assigned = trial;
                 schedule = built;
                 placed = true;
@@ -139,7 +185,7 @@ fn reference_variant(
     if horizon <= 0.0 {
         return None;
     }
-    let mut containers = platform.counts().scale(horizon);
+    let mut containers = scale(platform.counts(), horizon);
     let mut assigned: HashMap<JobId, usize> = HashMap::new();
     let mut schedule = Schedule::new();
 
@@ -190,7 +236,10 @@ fn reference_variant(
             trial.insert(target, j_star);
             if let Some(built) = reference_schedule_jobs(jobs, &trial, platform, now) {
                 let p = job.point(j_star);
-                containers.consume(&p.resources().scale(p.time() * job.remaining()));
+                consume(
+                    &mut containers,
+                    &scale(p.resources(), p.time() * job.remaining()),
+                );
                 assigned = trial;
                 schedule = built;
                 placed = true;
@@ -212,10 +261,10 @@ fn reference_schedule_jobs(
     now: f64,
 ) -> Option<Schedule> {
     let m = platform.num_types();
-    let mut schedule = Schedule::new();
+    let mut segments: Vec<Segment> = Vec::new();
     let mut te = now;
 
-    for id in jobs.ids_by_deadline() {
+    for id in ids_by_deadline(jobs) {
         let Some(&point_idx) = configs.get(&id) else {
             continue;
         };
@@ -225,8 +274,8 @@ fn reference_schedule_jobs(
         let mut tf = now;
 
         let mut si = 0;
-        while si < schedule.num_segments() && rho > RHO_EPS {
-            let seg = &schedule.segments()[si];
+        while si < segments.len() && rho > RHO_EPS {
+            let seg = &segments[si];
             let used = seg.demand(jobs, m);
             if !(point.resources() + &used).fits_within(platform.counts()) {
                 si += 1;
@@ -235,19 +284,19 @@ fn reference_schedule_jobs(
             let r = point.time() * rho;
             let dur = seg.duration();
             if r >= dur - EPS {
-                schedule.add_mapping_to(si, JobMapping::new(id, point_idx));
+                add_mapping_to(&mut segments, si, JobMapping::new(id, point_idx));
                 rho = (rho - dur / point.time()).max(0.0);
                 if rho <= RHO_EPS {
                     rho = 0.0;
-                    tf = schedule.segments()[si].end();
+                    tf = segments[si].end();
                 }
             } else {
                 let at = seg.start() + r;
                 if at > seg.start() {
-                    schedule.split_segment(si, at);
-                    schedule.add_mapping_to(si, JobMapping::new(id, point_idx));
+                    split_segment(&mut segments, si, at);
+                    add_mapping_to(&mut segments, si, JobMapping::new(id, point_idx));
                     rho = 0.0;
-                    tf = schedule.segments()[si].end();
+                    tf = segments[si].end();
                 } else {
                     rho = 0.0;
                     tf = seg.start();
@@ -259,21 +308,24 @@ fn reference_schedule_jobs(
         if rho > RHO_EPS {
             let r = point.time() * rho;
             if te + r > te {
-                let seg = Segment::new(te, te + r, vec![JobMapping::new(id, point_idx)]);
-                schedule.push(seg);
+                segments.push(Segment::new(
+                    te,
+                    te + r,
+                    vec![JobMapping::new(id, point_idx)],
+                ));
                 te += r;
             }
             tf = te;
         }
-        if let Some(end) = schedule.end_time() {
-            te = te.max(end);
+        if let Some(last) = segments.last() {
+            te = te.max(last.end());
         }
 
         if tf > job.deadline() + EPS {
             return None;
         }
     }
-    Some(schedule)
+    Some(Schedule::from_segments(segments))
 }
 
 /// The characterized benchmark suite on the Odroid XU4, built once.
