@@ -67,9 +67,13 @@ use amrm_model::{AppRef, Job};
 use serde::value::get_field;
 use serde::{Deserialize, Error, Serialize, Value};
 
-/// Memo key: quantized activation time plus the quantized
-/// `(JobId, remaining-ratio)` multiset, in state order.
-pub(crate) type Key = (u64, Vec<(u64, u64)>);
+/// Memo key: the quantized activation time followed by the quantized
+/// `(JobId, remaining-ratio)` pairs in state order, flattened to
+/// `[time_q, id0, rho0, id1, rho1, …]` so a search can look it up from a
+/// reused buffer. Lexicographic order over the flat slice equals the
+/// order over the nested `(time_q, [(id, rho)])` form, so saved files
+/// list their entries in that order.
+pub(crate) type Key = Box<[u64]>;
 
 /// One memoized search result (see `exmem.rs` for how each class is
 /// derived and consumed).
@@ -242,16 +246,15 @@ impl MappingCache {
     }
 }
 
-fn key_to_value(key: &Key) -> Value {
-    let (time_q, state) = key;
+fn key_to_value(key: &[u64]) -> Value {
     Value::Obj(vec![
-        ("time_q".into(), Value::UInt(*time_q)),
+        ("time_q".into(), Value::UInt(key[0])),
         (
             "state".into(),
             Value::Arr(
-                state
-                    .iter()
-                    .map(|&(id, rho_q)| Value::Arr(vec![Value::UInt(id), Value::UInt(rho_q)]))
+                key[1..]
+                    .chunks_exact(2)
+                    .map(|pair| Value::Arr(vec![Value::UInt(pair[0]), Value::UInt(pair[1])]))
                     .collect(),
             ),
         ),
@@ -271,22 +274,17 @@ fn choice_to_value(choice: &[Option<usize>]) -> Value {
 }
 
 fn key_from_fields(fields: &[(String, Value)]) -> Result<Key, Error> {
-    let time_q = u64::from_value(get_field(fields, "time_q")?)?;
-    let state = get_field(fields, "state")?
+    let mut key = vec![u64::from_value(get_field(fields, "time_q")?)?];
+    for pair in get_field(fields, "state")?
         .as_arr()
         .ok_or_else(|| Error::new("cache entry `state` must be an array"))?
-        .iter()
-        .map(|pair| {
-            let pair = pair
-                .as_arr()
-                .ok_or_else(|| Error::new("cache state element must be a [job, rho] pair"))?;
-            match pair {
-                [id, rho_q] => Ok((u64::from_value(id)?, u64::from_value(rho_q)?)),
-                _ => Err(Error::new("cache state element must be a [job, rho] pair")),
-            }
-        })
-        .collect::<Result<Vec<_>, Error>>()?;
-    Ok((time_q, state))
+    {
+        match pair.as_arr() {
+            Some([id, rho_q]) => key.extend([u64::from_value(id)?, u64::from_value(rho_q)?]),
+            _ => return Err(Error::new("cache state element must be a [job, rho] pair")),
+        }
+    }
+    Ok(key.into_boxed_slice())
 }
 
 fn choice_from_value(v: &Value) -> Result<Vec<Option<usize>>, Error> {
@@ -402,11 +400,11 @@ impl Deserialize for MappingCache {
             let val = match kind {
                 "exact" => {
                     let choice = choice_from_value(get_field(entry, "choice")?)?;
-                    if choice.len() != key.1.len() {
+                    if choice.len() != key.len() / 2 {
                         return Err(Error::new(format!(
                             "cache entry `choice` has {} slots for {} jobs in its `state`",
                             choice.len(),
-                            key.1.len()
+                            key.len() / 2
                         )));
                     }
                     MemoVal::Exact {
@@ -450,12 +448,16 @@ mod tests {
         )
     }
 
+    fn key(flat: &[u64]) -> Key {
+        flat.into()
+    }
+
     fn sample_cache() -> MappingCache {
         let mut cache = MappingCache::new();
         let job = Job::new(JobId(7), app("alpha", 3.5), 0.0, 9.25, 1.0);
         cache.signatures.insert(7, JobSig::of(&job));
         cache.memo.insert(
-            (100, vec![(7, 500_000_000), (8, 250_000_000)]),
+            key(&[100, 7, 500_000_000, 8, 250_000_000]),
             MemoVal::Exact {
                 energy: 1.75,
                 choice: vec![Some(0), None],
@@ -463,13 +465,13 @@ mod tests {
         );
         cache
             .memo
-            .insert((200, vec![(7, 1_000_000_000)]), MemoVal::Infeasible);
+            .insert(key(&[200, 7, 1_000_000_000]), MemoVal::Infeasible);
         cache.memo.insert(
-            (300, vec![(7, 250_000_000)]),
+            key(&[300, 7, 250_000_000]),
             MemoVal::Bound { at_least: 4.0 },
         );
         cache.memo.insert(
-            (400, vec![(7, 125_000_000)]),
+            key(&[400, 7, 125_000_000]),
             MemoVal::Anytime {
                 energy: 2.5,
                 choice: vec![Some(0)],
@@ -486,10 +488,7 @@ mod tests {
         let back = MappingCache::from_value(&cache.to_value()).expect("roundtrip must deserialize");
         assert_eq!(back.len(), 2, "only proofs are persisted");
         assert_eq!(back.warm_len(), 2, "loaded keys are all warm");
-        match back
-            .memo
-            .get(&(100, vec![(7, 500_000_000), (8, 250_000_000)]))
-        {
+        match back.memo.get(&key(&[100, 7, 500_000_000, 8, 250_000_000])) {
             Some(MemoVal::Exact { energy, choice }) => {
                 assert_eq!(energy.to_bits(), 1.75f64.to_bits());
                 assert_eq!(choice, &vec![Some(0), None]);
@@ -497,7 +496,7 @@ mod tests {
             other => panic!("expected exact entry, got {other:?}"),
         }
         assert!(matches!(
-            back.memo.get(&(200, vec![(7, 1_000_000_000)])),
+            back.memo.get(&key(&[200, 7, 1_000_000_000])),
             Some(MemoVal::Infeasible)
         ));
         assert_eq!(back.signatures, cache.signatures);

@@ -36,7 +36,7 @@
 //!   preserved: results tainted by truncation are stored as upper-bound
 //!   (`Anytime`) entries, never as exact optima or infeasibility proofs.
 //!
-//! Two further extensions make it viable at *scale* (ROADMAP item 3):
+//! Two further extensions make it viable at *scale*:
 //!
 //! * **capped candidate ranking** — when the budget carries a finite
 //!   [`rank_cap`](SearchBudget::rank_cap), each expanded state scores its
@@ -47,25 +47,45 @@
 //!   taints the subtree: results memoize as `Anytime` upper bounds, never
 //!   as exact optima or failure proofs, so soundness is unchanged. With
 //!   `rank_cap = usize::MAX` the legacy exhaustive enumeration runs
-//!   verbatim (proptest-pinned bit-identical in `tests/exmem_budget.rs`).
+//!   verbatim (proptest-pinned bit-identical in
+//!   `tests/exmem_rank_cache.rs`).
 //! * **a persistent warm-start cache** — the cross-activation memo lives
 //!   in an owned [`MappingCache`] that serializes its proofs (`Exact` +
 //!   `Infeasible`) to JSON alongside recorded workload traces, so a
 //!   replayed stream warm-starts from proofs instead of re-searching
 //!   (see `cache.rs` for the format and the content-based signature
 //!   revalidation that replaces pointer identity across the
-//!   serialization boundary).
+//!   serialization boundary). Every reconstructed schedule is validated,
+//!   in release builds too, because a loaded entry can be well-formed
+//!   yet wrong for the current jobs; a failing one degrades to the MDF
+//!   fallback.
+//!
+//! Expanding a state allocates nothing but the memo entry it inserts.
+//! Lookups hash a flat key buffer, `[time_q, id0, ρ0, id1, ρ1, …]`, that
+//! is copied into an owned key only on insertion. Each search depth owns
+//! a `Level` of scratch that the scheduler keeps across activations:
+//! the key buffer, the enumerator's partial assignment, and the generated
+//! candidates as fixed-stride choice rows, concatenated successor states
+//! and per-candidate scores, explored through an index array sorted
+//! stably by bound. `solve` takes its depth's level out of the pool for
+//! the expansion, so a child's candidates never alias its parent's. The
+//! enumerator tracks the cores in use in one add/subtract array, and the
+//! per-activation option tables, root state and MDF seeder are refilled
+//! in place. A frozen copy of the allocating search
+//! (`exmem_reference.rs`) pins schedules, work counts and memo tables
+//! bit for bit.
 //!
 //! With an unbounded budget the search, its exploration order and its
 //! results are bit-identical to the pre-anytime EX-MEM (pinned by
 //! `tests/exmem_budget.rs`).
 
 use std::collections::{HashMap, HashSet};
+use std::mem;
 
 use amrm_core::{MmkpMdf, Scheduler, SchedulingContext, SearchBudget};
 use amrm_metrics::journal::{EventKind, JournalEvent};
 use amrm_model::{Job, JobMapping, JobSet, Schedule, Segment};
-use amrm_platform::{Platform, ResourceVec, EPS};
+use amrm_platform::{Platform, EPS};
 
 use crate::cache::{Key, MappingCache, MemoVal};
 
@@ -124,6 +144,10 @@ pub struct ExMem {
     /// Conclusive memo hits served from disk-loaded entries during the
     /// most recent activation — reported as one `cache_warm_hit` event.
     last_warm_hits: u64,
+    /// The incumbent seeder, kept so its packing buffers are reused.
+    seeder: MmkpMdf,
+    /// Per-activation tables and the per-depth candidate arena.
+    scratch: Scratch,
 }
 
 /// How many candidates past the rank cap the capped enumeration still
@@ -132,20 +156,70 @@ pub struct ExMem {
 /// degenerate back into the exponential full enumeration.
 const RANK_OVERSAMPLE: usize = 4;
 
-struct SearchCtx<'a> {
-    jobs: &'a [Job],
-    platform: &'a Platform,
-    /// Per job: operating points that fit the platform, by index.
-    options: Vec<Vec<usize>>,
-    /// Per job: the same feasible points reordered cheapest-energy-first
-    /// (ties by index) — the generation order of the rank-capped
-    /// enumeration, so the kept prefix is the low-energy one. Empty when
-    /// the cap is infinite (the legacy enumeration ignores it).
-    ranked_options: Vec<Vec<usize>>,
+/// Buffers refilled at every activation instead of reallocated.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    /// Per job, concatenated: the operating points that fit the platform,
+    /// in the order the enumerator tries them. That is index order when
+    /// the rank cap is infinite, and cheapest-energy-first (ties by
+    /// index) under a finite cap, so the kept prefix is the low-energy
+    /// one. Job `i`'s points are `options[starts[i]..starts[i + 1]]`.
+    options: Vec<usize>,
+    starts: Vec<usize>,
     /// Per job: minimum full-execution energy over its feasible points.
     min_energy: Vec<f64>,
     /// Per job: minimum full-execution time over its feasible points.
     min_time: Vec<f64>,
+    /// The root state: `(job index, remaining ratio)` per job.
+    root: Vec<(usize, f64)>,
+    /// Cores per type held by the enumerator's partial assignment.
+    used: Vec<u32>,
+    /// One candidate arena per search depth.
+    levels: Vec<Level>,
+}
+
+/// The scratch of one search depth: the expanded state's memo key, the
+/// enumerator's partial assignment, and the candidates it generated.
+#[derive(Debug, Clone, Default)]
+struct Level {
+    /// Memo key of the expanded state (see [`fill_key`]).
+    key: Vec<u64>,
+    /// The partial assignment, one slot per job of the state (`None` =
+    /// suspended in the first segment).
+    choice: Vec<Option<usize>>,
+    /// Candidate `c`'s assignment is `rows[c * n..(c + 1) * n]` for a
+    /// state of `n` jobs.
+    rows: Vec<Option<usize>>,
+    /// Candidate successor states, concatenated (see [`Candidate`]).
+    next: Vec<(usize, f64)>,
+    candidates: Vec<Candidate>,
+    /// Candidate indices in exploration order: ascending bound, ties in
+    /// generation order.
+    ranked: Vec<usize>,
+}
+
+/// One enumerated first-segment candidate.
+#[derive(Debug, Clone, Copy)]
+struct Candidate {
+    seg_energy: f64,
+    next_t: f64,
+    bound: f64,
+    /// The state after the segment is `Level::next[start..end]`.
+    start: usize,
+    end: usize,
+}
+
+struct SearchCtx<'a> {
+    jobs: &'a [Job],
+    /// Platform core counts per type.
+    capacity: &'a [u32],
+    /// See [`Scratch::options`].
+    options: &'a [usize],
+    starts: &'a [usize],
+    min_energy: &'a [f64],
+    min_time: &'a [f64],
+    used: &'a mut [u32],
+    levels: &'a mut Vec<Level>,
     memo: &'a mut HashMap<Key, MemoVal>,
     /// Keys loaded from a persisted cache (warm-start accounting).
     warm: &'a HashSet<Key>,
@@ -155,6 +229,14 @@ struct SearchCtx<'a> {
     limit: Option<u64>,
     /// Per-state candidate cap (`usize::MAX` = exhaustive enumeration).
     rank_cap: usize,
+    /// Candidates per state at which the enumerator stops
+    /// (`usize::MAX` when uncapped).
+    gen_cap: usize,
+    /// Whether the enumerator tries suspension before a job's points
+    /// (the exhaustive order) or after them (the capped order: an
+    /// all-suspended assignment never advances time, so suspending last
+    /// keeps the generated prefix productive).
+    suspend_first: bool,
     /// Whether the result may be approximate: the budget truncated the
     /// search, the rank cap dropped candidates, or an `Anytime`
     /// (upper-bound) memo entry was consumed.
@@ -187,6 +269,30 @@ impl SearchCtx<'_> {
             false
         }
     }
+
+    /// Adds `demand` to the cores in use if every type still fits the
+    /// platform; returns whether it did.
+    fn hold(&mut self, demand: &[u32]) -> bool {
+        let fits = self
+            .used
+            .iter()
+            .zip(demand)
+            .zip(self.capacity)
+            .all(|((used, d), cap)| used + d <= *cap);
+        if fits {
+            for (used, d) in self.used.iter_mut().zip(demand) {
+                *used += d;
+            }
+        }
+        fits
+    }
+
+    /// Takes back cores added by [`hold`](Self::hold).
+    fn release(&mut self, demand: &[u32]) {
+        for (used, d) in self.used.iter_mut().zip(demand) {
+            *used -= d;
+        }
+    }
 }
 
 impl ExMem {
@@ -204,6 +310,8 @@ impl ExMem {
             last_evicted: 0,
             last_rank_pruned: 0,
             last_warm_hits: 0,
+            seeder: MmkpMdf::new(),
+            scratch: Scratch::default(),
         }
     }
 
@@ -368,7 +476,7 @@ impl ExMem {
             .cache
             .memo
             .keys()
-            .flat_map(|(_, state)| state.iter().map(|&(id, _)| id))
+            .flat_map(|key| key[1..].iter().step_by(2).copied())
             .collect();
         self.cache.signatures.retain(|id, _| live.contains(id));
         let memo = &self.cache.memo;
@@ -406,13 +514,27 @@ impl Scheduler for ExMem {
         }
 
         let job_slice = jobs.jobs();
-        let mut options = Vec::with_capacity(job_slice.len());
-        let mut min_energy = Vec::with_capacity(job_slice.len());
-        let mut min_time = Vec::with_capacity(job_slice.len());
+        let Scratch {
+            options,
+            starts,
+            min_energy,
+            min_time,
+            root,
+            used,
+            levels,
+        } = &mut self.scratch;
+        options.clear();
+        starts.clear();
+        min_energy.clear();
+        min_time.clear();
+        starts.push(0);
         for job in job_slice {
-            let opts: Vec<usize> = (0..job.app().num_points())
-                .filter(|&j| job.point(j).resources().fits_within(platform.counts()))
-                .collect();
+            let start = options.len();
+            options.extend(
+                (0..job.app().num_points())
+                    .filter(|&j| job.point(j).resources().fits_within(platform.counts())),
+            );
+            let opts = &options[start..];
             if opts.is_empty() {
                 return None;
             }
@@ -426,14 +548,14 @@ impl Scheduler for ExMem {
                     .map(|&j| job.point(j).time())
                     .fold(f64::INFINITY, f64::min),
             );
-            options.push(opts);
+            starts.push(options.len());
         }
 
         // Incumbent: MDF's energy is an upper bound on the optimum, and
         // its schedule is the fallback when a bounded budget expires with
         // nothing feasible found.
         let (incumbent, seed_schedule) = if self.seed_with_mdf {
-            match MmkpMdf::new().schedule(jobs, platform, ctx) {
+            match self.seeder.schedule(jobs, platform, ctx) {
                 Some(s) => (s.energy(jobs) + 1e-7, Some(s)),
                 None => (f64::INFINITY, None),
             }
@@ -443,41 +565,41 @@ impl Scheduler for ExMem {
 
         let effective = self.budget.tightest(ctx.budget);
         let rank_cap = effective.rank_cap().unwrap_or(usize::MAX);
-        // Under a finite cap the enumeration runs cheapest-energy-first,
-        // so the generated (and therefore kept) prefix is the low-energy
-        // one; uncapped searches keep the legacy point order verbatim.
-        let ranked_options = if rank_cap == usize::MAX {
-            Vec::new()
-        } else {
-            options
-                .iter()
-                .enumerate()
-                .map(|(i, opts)| {
-                    let mut by_energy = opts.clone();
-                    by_energy.sort_by(|&a, &b| {
-                        job_slice[i]
-                            .point(a)
-                            .energy()
-                            .total_cmp(&job_slice[i].point(b).energy())
-                            .then(a.cmp(&b))
-                    });
-                    by_energy
-                })
-                .collect()
-        };
+        let suspend_first = rank_cap == usize::MAX;
+        if !suspend_first {
+            // Under a finite cap the enumeration runs cheapest-energy-
+            // first, so the generated (and therefore kept) prefix is the
+            // low-energy one; uncapped searches keep the point order.
+            for (i, job) in job_slice.iter().enumerate() {
+                options[starts[i]..starts[i + 1]].sort_by(|&a, &b| {
+                    job.point(a)
+                        .energy()
+                        .total_cmp(&job.point(b).energy())
+                        .then(a.cmp(&b))
+                });
+            }
+        }
+        used.clear();
+        used.resize(platform.num_types(), 0);
+        root.clear();
+        root.extend(job_slice.iter().map(Job::remaining).enumerate());
 
         let mut search = SearchCtx {
             jobs: job_slice,
-            platform,
+            capacity: platform.counts().as_slice(),
             options,
-            ranked_options,
+            starts,
             min_energy,
             min_time,
+            used,
+            levels,
             memo: &mut self.cache.memo,
             warm: &self.cache.warm,
             work: 0,
             limit: effective.node_limit(),
             rank_cap,
+            gen_cap: rank_cap.saturating_mul(RANK_OVERSAMPLE).max(1),
+            suspend_first,
             approximate: false,
             budget_truncated: false,
             memo_hits: 0,
@@ -486,10 +608,7 @@ impl Scheduler for ExMem {
             warm_hits: 0,
         };
 
-        let state: Vec<(usize, f64)> = (0..job_slice.len())
-            .map(|i| (i, job_slice[i].remaining()))
-            .collect();
-        let result = solve(&mut search, &state, now, incumbent);
+        let result = solve(&mut search, 0, root, now, incumbent);
         // Budget invariant: `out_of_budget` checks before every spend,
         // so the work counter may hit the limit but never pass it.
         #[cfg(debug_assertions)]
@@ -551,7 +670,12 @@ impl Scheduler for ExMem {
         }
 
         let schedule = match result {
-            Some(_) => reconstruct(job_slice, &self.cache.memo, state, now).or(seed_schedule),
+            // The replayed path is checked in every build: a memo entry
+            // may route through a loaded choice that is well-formed but
+            // wrong for these jobs (it misses a deadline, say).
+            Some(_) => reconstruct(job_slice, &self.cache.memo, root, now)
+                .filter(|s| s.validate(jobs, platform, now).is_ok())
+                .or(seed_schedule),
             // A truncated search that found nothing degrades to the MDF
             // incumbent; an exhaustive failure is a genuine rejection.
             None if approximate => seed_schedule,
@@ -562,14 +686,15 @@ impl Scheduler for ExMem {
     }
 }
 
-fn key_of(jobs: &[Job], state: &[(usize, f64)], t: f64) -> Key {
-    (
-        (t / KEY_QUANTUM).round() as u64,
-        state
-            .iter()
-            .map(|&(i, rho)| (jobs[i].id().0, (rho / KEY_QUANTUM).round() as u64))
-            .collect(),
-    )
+/// Writes the memo key of `state` at `t` into `key`:
+/// `[time_q, id0, rho0, id1, rho1, …]`, quantized by `KEY_QUANTUM`.
+fn fill_key(key: &mut Vec<u64>, jobs: &[Job], state: &[(usize, f64)], t: f64) {
+    key.clear();
+    key.push((t / KEY_QUANTUM).round() as u64);
+    for &(i, rho) in state {
+        key.push(jobs[i].id().0);
+        key.push((rho / KEY_QUANTUM).round() as u64);
+    }
 }
 
 /// Admissible lower bound on the energy needed to finish `state`.
@@ -585,21 +710,19 @@ fn viable(ctx: &SearchCtx<'_>, state: &[(usize, f64)], t: f64) -> bool {
         .all(|&(i, rho)| t + ctx.min_time[i] * rho <= ctx.jobs[i].deadline() + EPS)
 }
 
-/// One enumerated first-segment candidate.
-struct Candidate {
-    choice: Vec<Option<usize>>,
-    seg_energy: f64,
-    next_state: Vec<(usize, f64)>,
-    next_t: f64,
-    bound: f64,
-}
-
 /// Minimum energy to finish `state` from time `t`, if it is `< incumbent`.
 /// Exact when the search ran to completion; an upper bound when the work
 /// budget truncated it (`ctx.approximate`). Memoizes exact values and
 /// failure bounds only for untruncated subtrees, and feasible-but-
-/// unproven values as [`MemoVal::Anytime`].
-fn solve(ctx: &mut SearchCtx<'_>, state: &[(usize, f64)], t: f64, incumbent: f64) -> Option<f64> {
+/// unproven values as [`MemoVal::Anytime`]. `depth` selects the scratch
+/// level the expansion borrows from the pool.
+fn solve(
+    ctx: &mut SearchCtx<'_>,
+    depth: usize,
+    state: &[(usize, f64)],
+    t: f64,
+    incumbent: f64,
+) -> Option<f64> {
     if state.is_empty() {
         return if incumbent > 0.0 { Some(0.0) } else { None };
     }
@@ -609,14 +732,31 @@ fn solve(ctx: &mut SearchCtx<'_>, state: &[(usize, f64)], t: f64, incumbent: f64
     if lower_bound(ctx, state) >= incumbent {
         return None;
     }
+    if ctx.levels.len() == depth {
+        ctx.levels.push(Level::default());
+    }
+    let mut level = mem::take(&mut ctx.levels[depth]);
+    let result = expand(ctx, &mut level, depth, state, t, incumbent);
+    ctx.levels[depth] = level;
+    result
+}
 
-    let key = key_of(ctx.jobs, state, t);
+/// The body of [`solve`] past its cheap cuts, on `level`'s scratch.
+fn expand(
+    ctx: &mut SearchCtx<'_>,
+    level: &mut Level,
+    depth: usize,
+    state: &[(usize, f64)],
+    t: f64,
+    incumbent: f64,
+) -> Option<f64> {
+    fill_key(&mut level.key, ctx.jobs, state, t);
     let mut anytime_hit: Option<f64> = None;
-    match ctx.memo.get(&key) {
+    match ctx.memo.get(level.key.as_slice()) {
         Some(MemoVal::Exact { energy, .. }) => {
             amrm_metrics::instrument::record_memo_hit();
             ctx.memo_hits += 1;
-            if !ctx.warm.is_empty() && ctx.warm.contains(&key) {
+            if !ctx.warm.is_empty() && ctx.warm.contains(level.key.as_slice()) {
                 ctx.warm_hits += 1;
             }
             return if *energy < incumbent {
@@ -628,7 +768,7 @@ fn solve(ctx: &mut SearchCtx<'_>, state: &[(usize, f64)], t: f64, incumbent: f64
         Some(MemoVal::Infeasible) => {
             amrm_metrics::instrument::record_memo_hit();
             ctx.memo_hits += 1;
-            if !ctx.warm.is_empty() && ctx.warm.contains(&key) {
+            if !ctx.warm.is_empty() && ctx.warm.contains(level.key.as_slice()) {
                 ctx.warm_hits += 1;
             }
             return None;
@@ -662,69 +802,56 @@ fn solve(ctx: &mut SearchCtx<'_>, state: &[(usize, f64)], t: f64, incumbent: f64
     // rank cap is infinite (the legacy exhaustive order, bit-identical),
     // otherwise a cheapest-energy-first generation stopped at a small
     // multiple of the cap.
-    let mut candidates = Vec::new();
-    if ctx.rank_cap == usize::MAX {
-        enumerate(
-            ctx,
-            state,
-            t,
-            0,
-            &mut vec![None; state.len()],
-            &ResourceVec::zeros(ctx.platform.num_types()),
-            &mut candidates,
-        );
-    } else {
-        let gen_cap = ctx.rank_cap.saturating_mul(RANK_OVERSAMPLE).max(1);
-        enumerate_ranked(
-            ctx,
-            state,
-            t,
-            0,
-            &mut vec![None; state.len()],
-            &ResourceVec::zeros(ctx.platform.num_types()),
-            &mut candidates,
-            gen_cap,
-        );
-        if candidates.len() >= gen_cap {
-            // The generation cap may have cut the space short; without
-            // proof of completeness the subtree is approximate (the
-            // rank-cap truncation below will usually also fire).
-            ctx.approximate = true;
-        }
-    }
+    let n = state.len();
+    level.choice.clear();
+    level.choice.resize(n, None);
+    level.rows.clear();
+    level.next.clear();
+    level.candidates.clear();
+    // Reaching the generation cap needs more candidates than the rank
+    // cap keeps, so the truncation below also marks that subtree
+    // approximate.
+    enumerate(ctx, level, state, t, 0);
     // Best-first exploration makes the local branch-and-bound effective.
     // The sort is stable, so ties keep generation order and capped runs
     // stay deterministic.
-    candidates.sort_by(|a, b| a.bound.total_cmp(&b.bound));
-    if candidates.len() > ctx.rank_cap {
+    let Level {
+        candidates, ranked, ..
+    } = &mut *level;
+    ranked.clear();
+    ranked.extend(0..candidates.len());
+    ranked.sort_by(|&a, &b| candidates[a].bound.total_cmp(&candidates[b].bound));
+    if ranked.len() > ctx.rank_cap {
         // Capped ranking: only the top-N cheapest lower bounds survive
         // full recursive evaluation. Dropping candidates taints the
         // subtree exactly like budget truncation — the result memoizes
         // as an `Anytime` upper bound, never as a proof.
-        let dropped = (candidates.len() - ctx.rank_cap) as u64;
-        candidates.truncate(ctx.rank_cap);
+        let dropped = (ranked.len() - ctx.rank_cap) as u64;
+        ranked.truncate(ctx.rank_cap);
         ctx.rank_pruned += dropped;
         ctx.approximate = true;
     }
 
     let mut local_best = incumbent;
-    let mut best_choice: Option<Vec<Option<usize>>> = None;
+    let mut best: Option<usize> = None;
     let mut pruned = false;
-    for cand in candidates {
+    for &c in &level.ranked {
+        let cand = level.candidates[c];
         if cand.bound >= local_best {
             pruned = true;
             continue;
         }
         if let Some(sub) = solve(
             ctx,
-            &cand.next_state,
+            depth + 1,
+            &level.next[cand.start..cand.end],
             cand.next_t,
             local_best - cand.seg_energy,
         ) {
             let total = cand.seg_energy + sub;
             if total < local_best {
                 local_best = total;
-                best_choice = Some(cand.choice);
+                best = Some(c);
             }
         }
     }
@@ -732,17 +859,19 @@ fn solve(ctx: &mut SearchCtx<'_>, state: &[(usize, f64)], t: f64, incumbent: f64
     let subtree_approx = ctx.approximate;
     ctx.approximate = subtree_approx || approx_before;
 
-    match best_choice {
-        Some(choice) => {
+    let key = level.key.as_slice();
+    match best {
+        Some(c) => {
+            let choice = level.rows[c * n..(c + 1) * n].to_vec();
             if subtree_approx {
                 // Feasible but unproven: keep the better of old and new.
                 let keep_existing = matches!(
-                    ctx.memo.get(&key),
+                    ctx.memo.get(key),
                     Some(MemoVal::Anytime { energy, .. }) if *energy <= local_best
                 );
                 if !keep_existing {
                     ctx.memo.insert(
-                        key,
+                        key.into(),
                         MemoVal::Anytime {
                             energy: local_best,
                             choice,
@@ -751,7 +880,7 @@ fn solve(ctx: &mut SearchCtx<'_>, state: &[(usize, f64)], t: f64, incumbent: f64
                 }
             } else {
                 ctx.memo.insert(
-                    key,
+                    key.into(),
                     MemoVal::Exact {
                         energy: local_best,
                         choice,
@@ -781,7 +910,7 @@ fn solve(ctx: &mut SearchCtx<'_>, state: &[(usize, f64)], t: f64, incumbent: f64
                 } else {
                     MemoVal::Infeasible
                 };
-                ctx.memo.insert(key, val);
+                ctx.memo.insert(key.into(), val);
             }
             None
         }
@@ -789,102 +918,64 @@ fn solve(ctx: &mut SearchCtx<'_>, state: &[(usize, f64)], t: f64, incumbent: f64
 }
 
 /// Depth-first enumeration of per-job choices (run a feasible point or
-/// suspend), with component-wise resource pruning; complete assignments
-/// with at least one running job become [`Candidate`]s. Each recursion
-/// step costs one budget work unit — with many concurrent jobs the joint
+/// suspend), with per-type core pruning; complete assignments with at
+/// least one running job become candidates on `level`. Uncapped, each job
+/// is tried suspended first and then on its points in index order (the
+/// legacy exhaustive order). Under a finite rank cap its points come
+/// cheapest-energy-first and suspension last, and generation stops at
+/// `ctx.gen_cap` candidates, so the kept prefix is the low-energy corner
+/// of the joint space rather than an arbitrary one. Each recursion step
+/// costs one budget work unit — with many concurrent jobs the joint
 /// assignment space is itself exponential, so a truncated enumeration
 /// (partial candidate list) is exactly what the anytime mode degrades to.
 fn enumerate(
     ctx: &mut SearchCtx<'_>,
+    level: &mut Level,
     state: &[(usize, f64)],
     t: f64,
     depth: usize,
-    choice: &mut Vec<Option<usize>>,
-    used: &ResourceVec,
-    out: &mut Vec<Candidate>,
 ) {
-    if ctx.out_of_budget() {
+    if level.candidates.len() >= ctx.gen_cap || ctx.out_of_budget() {
         return;
     }
     ctx.work += 1;
     if depth == state.len() {
-        push_candidate(ctx, state, t, choice, out);
+        push_candidate(ctx, level, state, t);
         return;
     }
     let (ji, _) = state[depth];
-    // Option A: suspend this job in the first segment.
-    choice[depth] = None;
-    enumerate(ctx, state, t, depth + 1, choice, used, out);
-    // Option B: run one of its feasible points.
-    for idx in 0..ctx.options[ji].len() {
-        let cfg = ctx.options[ji][idx];
-        let demand = used + ctx.jobs[ji].point(cfg).resources();
-        if !demand.fits_within(ctx.platform.counts()) {
+    if ctx.suspend_first {
+        level.choice[depth] = None;
+        enumerate(ctx, level, state, t, depth + 1);
+    }
+    let (jobs, options) = (ctx.jobs, ctx.options);
+    for &cfg in &options[ctx.starts[ji]..ctx.starts[ji + 1]] {
+        let demand = jobs[ji].point(cfg).resources().as_slice();
+        if !ctx.hold(demand) {
             continue;
         }
-        choice[depth] = Some(cfg);
-        enumerate(ctx, state, t, depth + 1, choice, &demand, out);
-    }
-    choice[depth] = None;
-}
-
-/// The rank-capped twin of [`enumerate`]: per-job points are tried
-/// cheapest-full-execution-energy-first and *before* the suspend option,
-/// and generation stops once `gen_cap` candidates exist — so the kept
-/// prefix is the low-energy corner of the joint space rather than an
-/// arbitrary one. Work accounting matches the legacy enumeration (one
-/// unit per recursion step) and the budget is honoured identically.
-#[allow(clippy::too_many_arguments)]
-fn enumerate_ranked(
-    ctx: &mut SearchCtx<'_>,
-    state: &[(usize, f64)],
-    t: f64,
-    depth: usize,
-    choice: &mut Vec<Option<usize>>,
-    used: &ResourceVec,
-    out: &mut Vec<Candidate>,
-    gen_cap: usize,
-) {
-    if out.len() >= gen_cap || ctx.out_of_budget() {
-        return;
-    }
-    ctx.work += 1;
-    if depth == state.len() {
-        push_candidate(ctx, state, t, choice, out);
-        return;
-    }
-    let (ji, _) = state[depth];
-    // Run options first, cheapest energy first.
-    for idx in 0..ctx.ranked_options[ji].len() {
-        let cfg = ctx.ranked_options[ji][idx];
-        let demand = used + ctx.jobs[ji].point(cfg).resources();
-        if !demand.fits_within(ctx.platform.counts()) {
-            continue;
-        }
-        choice[depth] = Some(cfg);
-        enumerate_ranked(ctx, state, t, depth + 1, choice, &demand, out, gen_cap);
-        if out.len() >= gen_cap {
-            choice[depth] = None;
+        level.choice[depth] = Some(cfg);
+        enumerate(ctx, level, state, t, depth + 1);
+        ctx.release(demand);
+        if level.candidates.len() >= ctx.gen_cap {
+            level.choice[depth] = None;
             return;
         }
     }
-    // Suspend last: an all-suspended assignment never advances time, so
-    // deprioritizing suspension keeps the generated prefix productive.
-    choice[depth] = None;
-    enumerate_ranked(ctx, state, t, depth + 1, choice, used, out, gen_cap);
+    level.choice[depth] = None;
+    if !ctx.suspend_first {
+        enumerate(ctx, level, state, t, depth + 1);
+    }
 }
 
-fn push_candidate(
-    ctx: &SearchCtx<'_>,
-    state: &[(usize, f64)],
-    t: f64,
-    choice: &[Option<usize>],
-    out: &mut Vec<Candidate>,
-) {
-    // Segment is cut at the earliest completion among running jobs.
+/// Scores `level.choice` as a candidate: cuts the segment at the earliest
+/// completion among running jobs and appends its assignment row,
+/// successor state and bound to `level`, unless a job would finish late
+/// or the successor is not viable.
+fn push_candidate(ctx: &SearchCtx<'_>, level: &mut Level, state: &[(usize, f64)], t: f64) {
     let mut delta = f64::INFINITY;
     for (slot, &(ji, rho)) in state.iter().enumerate() {
-        if let Some(cfg) = choice[slot] {
+        if let Some(cfg) = level.choice[slot] {
             delta = delta.min(ctx.jobs[ji].point(cfg).time() * rho);
         }
     }
@@ -894,32 +985,36 @@ fn push_candidate(
 
     let next_t = t + delta;
     let mut seg_energy = 0.0;
-    let mut next_state = Vec::with_capacity(state.len());
+    let start = level.next.len();
     for (slot, &(ji, rho)) in state.iter().enumerate() {
-        match choice[slot] {
+        match level.choice[slot] {
             Some(cfg) => {
                 let p = ctx.jobs[ji].point(cfg);
                 seg_energy += p.energy() * delta / p.time();
                 let rho2 = rho - delta / p.time();
                 if rho2 > RHO_EPS {
-                    next_state.push((ji, rho2));
+                    level.next.push((ji, rho2));
                 } else if next_t > ctx.jobs[ji].deadline() + EPS {
+                    level.next.truncate(start);
                     return; // completes past its deadline
                 }
             }
-            None => next_state.push((ji, rho)),
+            None => level.next.push((ji, rho)),
         }
     }
-    if !viable(ctx, &next_state, next_t) {
+    let next_state = &level.next[start..];
+    if !viable(ctx, next_state, next_t) {
+        level.next.truncate(start);
         return;
     }
-    let bound = seg_energy + lower_bound(ctx, &next_state);
-    out.push(Candidate {
-        choice: choice.to_vec(),
+    let bound = seg_energy + lower_bound(ctx, next_state);
+    level.rows.extend_from_slice(&level.choice);
+    level.candidates.push(Candidate {
         seg_energy,
-        next_state,
         next_t,
         bound,
+        start,
+        end: level.next.len(),
     });
 }
 
@@ -933,13 +1028,16 @@ fn push_candidate(
 fn reconstruct(
     jobs: &[Job],
     memo: &HashMap<Key, MemoVal>,
-    mut state: Vec<(usize, f64)>,
+    root: &[(usize, f64)],
     mut t: f64,
 ) -> Option<Schedule> {
     let mut schedule = Schedule::new();
+    let mut state = root.to_vec();
+    let mut next_state = Vec::with_capacity(state.len());
+    let mut key = Vec::with_capacity(2 * state.len() + 1);
     while !state.is_empty() {
-        let key = key_of(jobs, &state, t);
-        let choice = match memo.get(&key) {
+        fill_key(&mut key, jobs, &state, t);
+        let choice = match memo.get(key.as_slice()) {
             Some(MemoVal::Exact { choice, .. }) | Some(MemoVal::Anytime { choice, .. }) => choice,
             _ => return None,
         };
@@ -953,7 +1051,7 @@ fn reconstruct(
             }
         }
         let mut mappings = Vec::new();
-        let mut next_state = Vec::new();
+        next_state.clear();
         for (slot, &(ji, rho)) in state.iter().enumerate() {
             match choice[slot] {
                 Some(cfg) => {
@@ -967,7 +1065,7 @@ fn reconstruct(
             }
         }
         schedule.push(Segment::new(t, t + delta, mappings));
-        state = next_state;
+        mem::swap(&mut state, &mut next_state);
         t += delta;
     }
     Some(schedule)
@@ -1218,7 +1316,7 @@ mod tests {
             .cache
             .memo
             .keys()
-            .flat_map(|(_, state)| state.iter().map(|&(id, _)| id))
+            .flat_map(|key| key[1..].iter().step_by(2).copied())
             .collect();
         assert!(
             ex.cache
@@ -1481,6 +1579,41 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn warm_cache_choice_that_misses_a_deadline_falls_back_to_mdf() {
+        // A well-formed file whose root proof runs the job on λ1's 1L
+        // point (16.8 s) with 8 s to its deadline: it loads, and the
+        // replayed schedule ends at 17.8, so it must not be returned.
+        let platform = scenarios::platform();
+        let jobs = JobSet::new(vec![Job::new(
+            JobId(1),
+            scenarios::lambda1(),
+            0.0,
+            9.0,
+            1.0,
+        )]);
+        let mut cold = ExMem::new();
+        cold.schedule_at(&jobs, &platform, 1.0).unwrap();
+        let mut cache = cold.cache().clone();
+        let mut root = Vec::new();
+        fill_key(&mut root, jobs.jobs(), &[(0, 1.0)], 1.0);
+        match cache.memo.get_mut(root.as_slice()) {
+            Some(MemoVal::Exact { choice, .. }) => *choice = vec![Some(0)],
+            other => panic!("expected an exact root entry, got {other:?}"),
+        }
+        let path = std::env::temp_dir().join("amrm_exmem_deadline_miss.cache.json");
+        cache.save(&path).unwrap();
+        let loaded = MappingCache::load(&path).expect("the edited file is well-formed");
+        let mut warm = ExMem::new().with_cache(loaded);
+        let s = warm
+            .schedule_at(&jobs, &platform, 1.0)
+            .expect("a deadline-missing path falls back to the MDF schedule");
+        assert!(warm.last_warm_hits() > 0, "the edited root must be served");
+        s.validate(&jobs, &platform, 1.0).unwrap();
+        let mdf = MmkpMdf::new().schedule_at(&jobs, &platform, 1.0).unwrap();
+        assert_eq!(s, mdf);
     }
 
     #[test]

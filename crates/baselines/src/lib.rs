@@ -31,6 +31,8 @@
 
 mod cache;
 mod exmem;
+#[cfg(test)]
+mod exmem_reference;
 mod fixed;
 mod incremental;
 mod lr;

@@ -1,20 +1,32 @@
 //! Smoke tests of the `repro profile` harness with the counting global
 //! allocator installed: the fast test pins the counter wiring and the
-//! allocation accounting; the ignored release-only test streams a
-//! million requests through MMKP-MDF and asserts the wall-clock,
-//! peak-memory and allocations-per-request bounds of the lazy kernel (run
-//! it with `cargo test --release -p amrm-bench --test profile_smoke --
+//! allocation accounting; the ignored release-only tests stream a
+//! million requests through MMKP-MDF, asserting the wall-clock,
+//! peak-memory and allocations-per-request bounds of the lazy kernel, and
+//! bound the allocations of the EX-MEM exact-path cell (run them with
+//! `cargo test --release -p amrm-bench --test profile_smoke --
 //! --ignored`).
 
-use amrm_baselines::MDF_NAME;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+use amrm_baselines::{EXMEM_NAME, MDF_NAME};
 use amrm_bench::profile::{run_profile, run_profile_with};
 use amrm_metrics::CountingAllocator;
 
 #[global_allocator]
 static COUNTING_ALLOCATOR: CountingAllocator = CountingAllocator;
 
+/// The allocation counters are process-wide, so the tests that read them
+/// take turns: a concurrent run would add its calls to another's cell.
+static COUNTERS: Mutex<()> = Mutex::new(());
+
+fn counters() -> MutexGuard<'static, ()> {
+    COUNTERS.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 #[test]
 fn quick_profile_reports_counters_and_allocations() {
+    let _counters = counters();
     let report = run_profile(2_000, 11);
     assert!(CountingAllocator::installed());
     assert!(report.peak_alloc_bytes > 0);
@@ -42,6 +54,7 @@ fn quick_profile_reports_counters_and_allocations() {
 #[test]
 #[ignore = "release-only million-request throughput bound; run with -- --ignored"]
 fn million_request_stream_completes_within_bounds() {
+    let _counters = counters();
     let requests = 1_000_000;
     let report = run_profile_with(requests, 2020, &[MDF_NAME]);
     let cell = &report.cells[0];
@@ -77,5 +90,28 @@ fn million_request_stream_completes_within_bounds() {
         peak < 512 * 1024 * 1024,
         "peak live allocation {:.1} MiB exceeds the 512 MiB bound",
         peak as f64 / (1024.0 * 1024.0)
+    );
+}
+
+#[test]
+#[ignore = "release-only EX-MEM allocation bound; run with -- --ignored"]
+fn exact_profile_cell_allocates_per_activation_not_per_state() {
+    let _counters = counters();
+    // The `repro profile --quick` EX-MEM cell.
+    let requests = 200;
+    let report = run_profile_with(requests, 2020, &[EXMEM_NAME]);
+    let cell = &report.cells[0];
+    assert_eq!(cell.requests, requests);
+    assert!(cell.counters.schedule_calls > 0);
+    // Allocation bound: EX-MEM expands states on per-depth scratch and
+    // looks memo keys up from a reused buffer, so a request costs a few
+    // dozen allocations (26 here), mostly memo entries and schedules. A
+    // search that owns a key per lookup and a vector per candidate made
+    // 45,574 per request on this cell; like the MDF bound above, this
+    // catches such a revert on any host.
+    let calls_per_request = cell.allocation_calls as f64 / requests as f64;
+    assert!(
+        calls_per_request <= 1_000.0,
+        "{calls_per_request:.1} allocations per request on the EX-MEM cell (> 1,000)"
     );
 }
