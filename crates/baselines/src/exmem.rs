@@ -503,10 +503,16 @@ impl Scheduler for ExMem {
         ctx: &SchedulingContext,
     ) -> Option<Schedule> {
         let now = ctx.now;
+        // The per-activation counters describe this call even when it
+        // returns before searching.
+        self.nodes_explored = 0;
+        self.degraded = false;
+        self.last_rank_pruned = 0;
+        self.last_warm_hits = 0;
+        self.last_evicted = 0;
         if jobs.is_empty() {
             return Some(Schedule::new());
         }
-        self.last_evicted = 0;
         if self.reuse_memo {
             self.guard_signatures(jobs.jobs());
         } else {
@@ -1208,6 +1214,38 @@ mod tests {
         assert!(ex.nodes_explored() > 0);
         assert!(!ex.last_degraded());
         assert!(ex.memo_len() > 0);
+    }
+
+    #[test]
+    fn early_returns_reset_the_activation_counters() {
+        let platform = scenarios::platform();
+        let mut ex = ExMem::new();
+        ex.schedule_at(&scenarios::s1_jobs_at_t1(), &platform, 1.0)
+            .unwrap();
+        assert!(ex.nodes_explored() > 0);
+        let assert_idle = |ex: &ExMem, what: &str| {
+            assert_eq!(ex.nodes_explored(), 0, "{what}: work");
+            assert!(!ex.last_degraded(), "{what}: degraded");
+            assert_eq!(ex.last_rank_pruned(), 0, "{what}: pruned");
+            assert_eq!(ex.last_warm_hits(), 0, "{what}: warm hits");
+        };
+        let empty = JobSet::new(Vec::new());
+        assert_eq!(
+            ex.schedule_at(&empty, &platform, 2.0),
+            Some(Schedule::new())
+        );
+        assert_idle(&ex, "empty job set");
+        let app = Application::shared(
+            "nine-little",
+            vec![OperatingPoint::new(
+                amrm_platform::ResourceVec::from_slice(&[9, 0]),
+                1.0,
+                1.0,
+            )],
+        );
+        let unfit = JobSet::new(vec![Job::new(JobId(3), app, 2.0, 10.0, 1.0)]);
+        assert!(ex.schedule_at(&unfit, &platform, 2.0).is_none());
+        assert_idle(&ex, "no fitting point");
     }
 
     #[test]

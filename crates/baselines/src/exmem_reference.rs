@@ -8,6 +8,9 @@
 //! The copy omits what the arena rewrite did not touch: the signature
 //! guard (every sequence keeps each id's application and deadline, so
 //! it never clears) and cap eviction (no sequence nears `MEMO_CAP`).
+//! Its per-activation counters follow [`ExMem`]'s reporting rule: reset
+//! at the top of every call, so a call that returns before searching
+//! reports no work.
 
 use std::collections::{HashMap, HashSet};
 
@@ -76,6 +79,10 @@ impl Reference {
         ctx: &SchedulingContext,
     ) -> Option<Schedule> {
         let now = ctx.now;
+        self.nodes_explored = 0;
+        self.degraded = false;
+        self.last_rank_pruned = 0;
+        self.last_warm_hits = 0;
         if jobs.is_empty() {
             return Some(Schedule::new());
         }

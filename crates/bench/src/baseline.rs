@@ -53,18 +53,9 @@ pub struct PerfBaseline {
     /// (empty when the producing command skipped the online A/B).
     pub admission: Vec<crate::admission::Cell>,
     /// Streaming-kernel throughput cells (`repro profile`; empty when the
-    /// producing command skipped the profile).
+    /// producing command skipped the profile). `repro profile --baseline`
+    /// reads them back as its throughput floor.
     pub profile: Vec<crate::profile::ProfileCell>,
-    /// Sharded-federation cells (`repro shard`; empty when the producing
-    /// command skipped the shard bench).
-    pub shard: Vec<crate::shard::ShardCell>,
-    /// Event-journal counts of the traced federated run (`repro trace`;
-    /// empty when the producing command skipped the trace).
-    pub trace: Vec<crate::trace::TraceCount>,
-    /// EX-MEM exact-path cells: capped-vs-uncapped ranking and
-    /// cold-vs-warm cache replay (`repro exact`; empty when the
-    /// producing command skipped the exact bench).
-    pub exact: Vec<crate::exact::ExactCell>,
 }
 
 /// Condenses `eval` into a [`PerfBaseline`].
@@ -111,9 +102,6 @@ pub fn summarize(
         schedulers,
         admission: Vec::new(),
         profile: Vec::new(),
-        shard: Vec::new(),
-        trace: Vec::new(),
-        exact: Vec::new(),
     }
 }
 

@@ -64,7 +64,8 @@
 //!
 //! OPTIONS
 //!   --seed N         RNG seed for suite generation (default 2020)
-//!   --threads N      worker threads, at least 1 (default: available
+//!   --threads N      worker threads of the suite, admission, sweep and
+//!                    tune grids, at least 1 (default: available
 //!                    parallelism)
 //!   --quick          divide all Table III counts by 10 (smoke run);
 //!                    shrinks the sweep grid and profile stream likewise
@@ -86,9 +87,9 @@
 //!   --suite-out F    save the generated suite as JSON
 //!   --json F         with suite commands: write per-scheduler energy/
 //!                    feasibility/search-time aggregates plus the
-//!                    admission-policy grid to F; with `sweep`, `tune`,
-//!                    `profile`, `shard`, `trace`, `exact` or `lint`: write
-//!                    that command's report to F
+//!                    admission-policy grid and the profile cells to F;
+//!                    with `sweep`, `tune`, `profile`, `shard`, `trace`,
+//!                    `exact` or `lint`: write that command's report to F
 //!   --schedulers L   comma-separated registry subset to evaluate (suite
 //!                    commands, ablation, admission and sweep; default:
 //!                    every registered scheduler). Excluding EX-MEM
@@ -379,13 +380,12 @@ fn run(opts: &Options) -> Result<ExitCode, String> {
         "shard" => {
             eprintln!(
                 "running sharded-federation bench: shard counts {:?} × 4 routing policies \
-                 (seed {}, {} dispatcher threads{}) ...",
+                 (seed {}{}) ...",
                 amrm_bench::shard::WEAK_SHARD_COUNTS,
                 opts.seed,
-                opts.threads,
                 if opts.quick { ", quick" } else { "" }
             );
-            let report = amrm_bench::shard::run_shard_bench(opts.quick, opts.seed, opts.threads);
+            let report = amrm_bench::shard::run_shard_bench(opts.quick, opts.seed);
             println!("{}", amrm_bench::shard::shard_report(&report));
             write_artifact(opts, "shard report", &report)?;
         }
@@ -638,17 +638,6 @@ fn run_suite(opts: &Options, registry: &SchedulerRegistry) -> Result<(), String>
              scheduler) ..."
         );
         summary.profile = amrm_bench::profile::run_profile(profile_requests, opts.seed).cells;
-        eprintln!("running sharded-federation bench for the baseline ...");
-        summary.shard =
-            amrm_bench::shard::run_shard_bench(opts.quick, opts.seed, opts.threads).cells;
-        eprintln!("tracing federated META run for the baseline ...");
-        summary.trace = amrm_bench::trace::run_trace(opts.quick, opts.seed, 0)
-            .report
-            .counts;
-        eprintln!("running EX-MEM exact-path bench for the baseline ...");
-        summary.exact = amrm_bench::exact::run_exact(opts.quick, opts.seed, None, None)
-            .map_err(|e| format!("exact-path bench failed: {e}"))?
-            .cells;
         write_artifact(opts, "perf baseline", &summary)?;
     }
 

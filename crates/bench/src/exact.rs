@@ -21,8 +21,7 @@
 //!
 //! `repro exact --cache-out F` persists the cold cache for later
 //! `--warm-cache F` runs, which is how a recorded workload's proofs are
-//! reused across processes; the cells embed into the perf baseline
-//! (`BENCH_baseline.json`) as its `exact` section.
+//! reused across processes; `--json F` writes the [`ExactReport`].
 
 use std::path::Path;
 use std::time::Instant;
@@ -73,8 +72,7 @@ pub struct ExactCell {
     pub energy_per_job: f64,
 }
 
-/// The whole exact-path benchmark — the `repro exact --json` artifact
-/// and the `exact` section of the perf baseline.
+/// The whole exact-path benchmark — the `repro exact --json` artifact.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ExactReport {
     /// RNG seed of both streams.

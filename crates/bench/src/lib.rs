@@ -19,9 +19,8 @@
 //!   (`repro tune`), each candidate scored from grid cells;
 //! * [`profile`] — million-request streaming-kernel throughput profile
 //!   with hot-path instrumentation counters (`repro profile`);
-//! * [`shard`] — sharded-federation weak-scaling benchmark: shard counts
-//!   × routing policies over one dispatched arrival stream
-//!   (`repro shard`);
+//! * [`shard`] — sharded-federation benchmark: shard counts × routing
+//!   policies over one dispatched arrival stream (`repro shard`);
 //! * [`trace`] — deterministic event-journal trace of a federated META
 //!   run with Chrome trace-event (Perfetto) export (`repro trace`);
 //! * [`exact`] — EX-MEM exact-path A/B: capped candidate ranking vs the
@@ -61,9 +60,7 @@ pub use crate::profile::{
     check_floor, profile_report, run_profile, run_profile_with, ProfileCell, ProfileReport,
 };
 pub use crate::runner::{evaluate_case, evaluate_suite, CaseResult, SchedResult, SuiteEvaluation};
-pub use crate::shard::{
-    run_shard_bench, shard_report, weak_scaling_speedup, ShardCell, ShardReport,
-};
+pub use crate::shard::{run_shard_bench, shard_report, ShardCell, ShardReport};
 pub use crate::sweep::{sweep_grid, sweep_report, SweepReport};
 pub use crate::trace::{run_trace, trace_report, TraceCount, TraceReport, TraceRun};
 pub use crate::tune::{tune_grid, tune_report, TuneOptions, TuneReport};

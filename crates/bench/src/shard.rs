@@ -1,4 +1,4 @@
-//! Sharded-federation weak-scaling benchmark (`repro shard`).
+//! Sharded-federation benchmark (`repro shard`).
 //!
 //! One lazy arrival stream fans out over N independent runtime managers
 //! through the [`Federation`](amrm_sim::Federation) dispatcher; this
@@ -6,7 +6,9 @@
 //!
 //! * **weak scaling** — shard counts × routing policies on the diurnal
 //!   profile stream at *fixed per-shard load* (the offered rate scales
-//!   with the shard count), reporting aggregate requests/s and events/s;
+//!   with the shard count), reporting aggregate requests/s and events/s
+//!   (the dispatcher advances every shard on one thread, so these rows
+//!   show what each extra shard costs it);
 //! * **skewed routing** — a fixed shard count on a hotspot stream (one
 //!   application dominates the mix), where feedback routing
 //!   (join-shortest-queue, energy-aware) must beat blind round-robin on
@@ -14,11 +16,8 @@
 //!
 //! Every cell runs the shards in **lean aggregated outcome mode**
 //! ([`Simulation::aggregated`]) so multi-million-request federated runs
-//! stay flat in memory, and every cell is deterministic per seed
-//! regardless of `--threads` (the dispatcher advances shards in sim-time
-//! lockstep). The cells embed into the perf baseline
-//! (`BENCH_baseline.json`) next to the admission grid and the kernel
-//! profile.
+//! stay flat in memory, and every simulated column is deterministic per
+//! seed (the dispatcher advances shards serially in sim-time lockstep).
 
 use std::time::Instant;
 
@@ -83,8 +82,8 @@ pub struct ShardCell {
     pub wall_seconds: f64,
     /// Aggregate requests decided per wall-clock second.
     pub requests_per_second: f64,
-    /// Aggregate kernel events handled per wall-clock second (merged
-    /// across shard workers).
+    /// Aggregate kernel events handled per wall-clock second, summed
+    /// over the shards.
     pub events_per_second: f64,
     /// Requests routed to each shard, in shard order.
     pub shard_routed: Vec<usize>,
@@ -101,14 +100,12 @@ pub struct ShardCell {
     pub stolen: usize,
 }
 
-/// A whole `repro shard` run plus its provenance, embedded into the perf
-/// baseline and written standalone by `repro shard --json`.
+/// A whole `repro shard` run plus its provenance, written by
+/// `repro shard --json`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ShardReport {
     /// RNG seed of every stream in the run.
     pub seed: u64,
-    /// Dispatcher worker threads.
-    pub threads: usize,
     /// Whether the quick (shrunken) request counts were used.
     pub quick: bool,
     /// Requests per shard in the weak-scaling rows.
@@ -167,7 +164,7 @@ pub(crate) fn open_shard<A: AdmissionPolicy>(
 }
 
 /// Runs one federated cell and measures it.
-fn run_cell<A: AdmissionPolicy + Send>(
+fn run_cell<A: AdmissionPolicy>(
     pool: Vec<Simulation<Box<dyn Scheduler + Send>, A>>,
     stream_label: &str,
     stream: ArrivalStream,
@@ -217,7 +214,6 @@ pub fn weak_scaling_grid(
     per_shard: usize,
     shard_counts: &[usize],
     seed: u64,
-    threads: usize,
 ) -> Vec<ShardCell> {
     assert!(per_shard > 0, "need at least one request per shard");
     let platform = Platform::odroid_xu4();
@@ -244,10 +240,7 @@ pub fn weak_scaling_grid(
                 "diurnal",
                 stream,
                 routing,
-                FederationConfig {
-                    threads,
-                    ..FederationConfig::default()
-                },
+                FederationConfig::default(),
             ));
         }
     }
@@ -257,12 +250,7 @@ pub fn weak_scaling_grid(
 /// Skewed-routing rows: every routing policy on the hotspot stream over
 /// [`SKEWED_SHARDS`] shards (fine epochs keep the feedback fresh), plus
 /// one hash-affinity row with work-stealing enabled.
-pub fn skewed_grid(
-    library: &[AppRef],
-    requests: usize,
-    seed: u64,
-    threads: usize,
-) -> Vec<ShardCell> {
+pub fn skewed_grid(library: &[AppRef], requests: usize, seed: u64) -> Vec<ShardCell> {
     assert!(requests > 0, "need at least one request");
     let platform = Platform::odroid_xu4();
     let hot = hot_app_index(library);
@@ -281,7 +269,6 @@ pub fn skewed_grid(
         )
     };
     let config = |steal| FederationConfig {
-        threads,
         epoch: SKEW_EPOCH,
         steal_threshold: steal,
     };
@@ -313,52 +300,27 @@ pub fn skewed_grid(
 
 /// Runs the full shard benchmark: the weak-scaling sweep followed by the
 /// skewed-routing rows.
-pub fn run_shard_bench(quick: bool, seed: u64, threads: usize) -> ShardReport {
+pub fn run_shard_bench(quick: bool, seed: u64) -> ShardReport {
     let platform = Platform::odroid_xu4();
     let library = amrm_dataflow::apps::benchmark_suite(&platform);
     let per_shard = if quick { 2_000 } else { 40_000 };
     let skew_requests = if quick { 2_000 } else { 20_000 };
-    let mut cells = weak_scaling_grid(&library, per_shard, &WEAK_SHARD_COUNTS, seed, threads);
-    cells.extend(skewed_grid(&library, skew_requests, seed, threads));
+    let mut cells = weak_scaling_grid(&library, per_shard, &WEAK_SHARD_COUNTS, seed);
+    cells.extend(skewed_grid(&library, skew_requests, seed));
     ShardReport {
         seed,
-        threads,
         quick,
         weak_requests_per_shard: per_shard,
         cells,
     }
 }
 
-/// Aggregate requests/s of the weak-scaling cell at `shards` shards under
-/// `routing` on the diurnal stream.
-pub fn weak_throughput(cells: &[ShardCell], routing: &str, shards: usize) -> Option<f64> {
-    cells
-        .iter()
-        .find(|c| c.stream == "diurnal" && c.routing == routing && c.shards == shards)
-        .map(|c| c.requests_per_second)
-}
-
-/// Weak-scaling speedup: aggregate requests/s at the largest shard count
-/// over the 1-shard cell, under `routing`. `None` if either cell is
-/// missing.
-pub fn weak_scaling_speedup(cells: &[ShardCell], routing: &str) -> Option<f64> {
-    let max_shards = cells
-        .iter()
-        .filter(|c| c.stream == "diurnal" && c.routing == routing)
-        .map(|c| c.shards)
-        .max()?;
-    let top = weak_throughput(cells, routing, max_shards)?;
-    let base = weak_throughput(cells, routing, 1)?;
-    Some(top / base)
-}
-
-/// Renders a shard report as aligned text tables (weak scaling, then the
-/// skewed rows) plus a speedup footnote.
+/// Renders a shard report as one aligned text table (weak scaling, then
+/// the skewed rows).
 pub fn shard_report(report: &ShardReport) -> String {
     let mut out = format!(
-        "Sharded-federation benchmark: seed {}, {} dispatcher threads, {} requests/shard \
-         (weak scaling)\n\n",
-        report.seed, report.threads, report.weak_requests_per_shard
+        "Sharded-federation benchmark: seed {}, {} requests/shard (weak scaling)\n\n",
+        report.seed, report.weak_requests_per_shard
     );
     let mut t = TextTable::new(vec![
         "Stream", "Routing", "shards", "requests", "accepted", "acc rate", "J/job", "wall s",
@@ -382,18 +344,6 @@ pub fn shard_report(report: &ShardReport) -> String {
         ]);
     }
     out.push_str(&t.to_string());
-    if let Some(speedup) = weak_scaling_speedup(&report.cells, "RoundRobin") {
-        let max_shards = report
-            .cells
-            .iter()
-            .filter(|c| c.stream == "diurnal")
-            .map(|c| c.shards)
-            .max()
-            .unwrap_or(1);
-        out.push_str(&format!(
-            "\nweak-scaling speedup (RoundRobin, {max_shards} shards vs 1): {speedup:.2}x\n"
-        ));
-    }
     out
 }
 
@@ -407,7 +357,7 @@ mod tests {
 
     #[test]
     fn weak_grid_covers_every_policy_and_shard_count() {
-        let cells = weak_scaling_grid(&library(), 40, &[1, 2], 7, 1);
+        let cells = weak_scaling_grid(&library(), 40, &[1, 2], 7);
         assert_eq!(cells.len(), 8);
         for c in &cells {
             assert_eq!(c.stream, "diurnal");
@@ -425,7 +375,6 @@ mod tests {
         }
         let labels: Vec<&str> = cells[..4].iter().map(|c| c.routing.as_str()).collect();
         assert_eq!(labels, ["RoundRobin", "JSQ", "EnergyAware", "HashAffinity"]);
-        assert!(weak_scaling_speedup(&cells, "RoundRobin").is_some());
     }
 
     #[test]
@@ -435,7 +384,7 @@ mod tests {
         // must strictly beat blind round-robin on acceptance rate.  Uses
         // the same request count as `repro shard --quick` so the test
         // exercises the exact stream the CLI gate reports.
-        let cells = skewed_grid(&library(), 2000, 2020, 1);
+        let cells = skewed_grid(&library(), 2000, 2020);
         assert_eq!(cells.len(), 5);
         let rate = |label: &str| {
             cells
@@ -472,10 +421,9 @@ mod tests {
     fn report_roundtrips_through_json() {
         let report = ShardReport {
             seed: 3,
-            threads: 2,
             quick: true,
             weak_requests_per_shard: 40,
-            cells: weak_scaling_grid(&library(), 30, &[2], 3, 2),
+            cells: weak_scaling_grid(&library(), 30, &[2], 3),
         };
         let path = std::env::temp_dir().join("amrm_shard_roundtrip.json");
         crate::write_json(&path, &report).unwrap();

@@ -14,8 +14,8 @@
 //! The per-track journals export to Chrome trace-event JSON
 //! (Perfetto-loadable; shards as processes, regimes as counter tracks)
 //! via [`write_chrome`], and the aggregate per-kind / per-reject-reason
-//! counts condense into a [`TraceReport`] that embeds into the perf
-//! baseline (`BENCH_baseline.json`) as its `trace` section.
+//! counts condense into a [`TraceReport`], the `repro trace --json`
+//! artifact.
 
 use amrm_baselines::META_NAME;
 use amrm_core::{BatchK, HashAffinity};
@@ -58,7 +58,7 @@ pub struct TraceCount {
 }
 
 /// Aggregate statistics of one traced run, ready to serialize
-/// (`repro trace --json`) and to embed into the perf baseline.
+/// (`repro trace --json`).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TraceReport {
     /// RNG seed of the bursty stream.
@@ -134,7 +134,6 @@ pub fn run_trace_with(requests: usize, quick: bool, seed: u64, sample: u64) -> T
         .collect();
     let outcome = Federation::new(pool, Box::new(HashAffinity::new()))
         .with_config(FederationConfig {
-            threads: 1,
             epoch: EPOCH,
             steal_threshold: Some(STEAL_THRESHOLD),
         })
@@ -375,7 +374,6 @@ mod tests {
                         .collect();
                     let _ = Federation::new(pool, Box::new(HashAffinity::new()))
                         .with_config(FederationConfig {
-                            threads: 1,
                             epoch: EPOCH,
                             steal_threshold: Some(STEAL_THRESHOLD),
                         })

@@ -12,13 +12,13 @@
 //!
 //! Everything a policy can observe is simulated time and state, so
 //! routing decisions stay deterministic per stream seed — the federation
-//! kernel routes serially between parallel shard-advance epochs, and the
-//! views it hands over are refreshed at deterministic sim-time barriers.
+//! routes and advances its shards serially on one thread, and the views
+//! it hands over are refreshed at deterministic sim-time barriers.
 //!
 //! Like [`AdmissionPolicy`](crate::AdmissionPolicy), implementations are
 //! labelled ([`label`](RoutingPolicy::label)) and validated
-//! ([`validate`](RoutingPolicy::validate)); the `repro shard` grid and the
-//! perf baseline key rows by the label.
+//! ([`validate`](RoutingPolicy::validate)); the `repro shard` grid keys
+//! rows by the label.
 
 /// The routed view of one arriving request.
 ///

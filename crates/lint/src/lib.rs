@@ -1,8 +1,8 @@
 //! `amrm-lint` — a tidy-style determinism lint for the AMRM workspace.
 //!
 //! Every gate in this reproduction rests on bit-identical determinism:
-//! same-seed equality across thread counts (`repro tune`), shard pool
-//! widths (the federation) and journal on/off (the tracing layer). Those
+//! same-seed equality across thread counts (`repro tune`), across
+//! federation reruns and across journal on/off (the tracing layer). Those
 //! invariants are enforced dynamically by proptests — which can only
 //! catch a nondeterminism source after it ships. This crate checks the
 //! conventions *statically*, rust-tidy style: a line/token scan over the

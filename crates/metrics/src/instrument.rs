@@ -53,18 +53,6 @@ impl CounterSnapshot {
             peak_queue_depth: 0,
         }
     }
-
-    /// Folds another snapshot into this one: rate counters add,
-    /// `peak_queue_depth` takes the max (per-shard queues are disjoint, so
-    /// the federation-wide peak is the deepest single queue observed).
-    pub fn merge(&mut self, other: &CounterSnapshot) {
-        self.events += other.events;
-        self.heap_pushes += other.heap_pushes;
-        self.flushes += other.flushes;
-        self.schedule_calls += other.schedule_calls;
-        self.memo_hits += other.memo_hits;
-        self.peak_queue_depth = self.peak_queue_depth.max(other.peak_queue_depth);
-    }
 }
 
 fn update(f: impl FnOnce(&mut CounterSnapshot)) {
@@ -86,19 +74,9 @@ pub fn snapshot() -> CounterSnapshot {
 }
 
 /// Drains this thread's counters: returns the current snapshot and resets
-/// them to zero. Parallel workers call this at the end of their slice so
-/// the orchestrator can [`merge`] the pieces into a federation-wide view
-/// without double-counting across epochs on reused threads.
+/// them to zero, so a run bracketed by two calls reads its own counts.
 pub fn take() -> CounterSnapshot {
     COUNTERS.with(|c| c.replace(CounterSnapshot::zero()))
-}
-
-/// Folds a drained snapshot (from [`take`] on a worker thread) into this
-/// thread's counters, so the orchestrating thread's `snapshot()` reports
-/// the whole parallel run under the existing reset → run → snapshot
-/// calling convention.
-pub fn merge(other: &CounterSnapshot) {
-    update(|c| c.merge(other));
 }
 
 /// Records one event popped off the kernel heap.
@@ -258,42 +236,16 @@ mod tests {
     }
 
     #[test]
-    fn take_drains_and_merge_folds_across_threads() {
+    fn take_drains_this_threads_counters() {
         reset();
         record_event();
-        record_queue_depth(2);
-        // A worker thread drains its own counters; `take` leaves it zeroed.
-        let (worker, after_take) = std::thread::spawn(|| {
-            record_event();
-            record_event();
-            record_flush();
-            record_queue_depth(7);
-            (take(), snapshot())
-        })
-        .join()
-        .unwrap();
-        assert_eq!(after_take, CounterSnapshot::default());
-        merge(&worker);
-        let total = snapshot();
-        assert_eq!(total.events, 3);
-        assert_eq!(total.flushes, 1);
-        assert_eq!(total.peak_queue_depth, 7);
-        // Merging is additive on rates, max on the peak depth.
-        let mut a = worker;
-        a.merge(&CounterSnapshot {
-            events: 1,
-            heap_pushes: 4,
-            flushes: 0,
-            schedule_calls: 2,
-            memo_hits: 5,
-            peak_queue_depth: 3,
-        });
-        assert_eq!(a.events, 3);
-        assert_eq!(a.heap_pushes, 4);
-        assert_eq!(a.schedule_calls, 2);
-        assert_eq!(a.memo_hits, 5);
-        assert_eq!(a.peak_queue_depth, 7);
-        reset();
+        record_flush();
+        record_queue_depth(7);
+        let drained = take();
+        assert_eq!(drained.events, 1);
+        assert_eq!(drained.flushes, 1);
+        assert_eq!(drained.peak_queue_depth, 7);
+        assert_eq!(snapshot(), CounterSnapshot::default());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! [`RoutingPolicy`](amrm_core::RoutingPolicy) (round-robin, join-shortest
 //! -queue, energy-aware, per-app hash affinity), and advances all shards
 //! in **sim-time lockstep** so the federated run stays deterministic per
-//! seed no matter how many OS threads execute it.
+//! seed.
 //!
 //! # Lockstep epochs
 //!
@@ -27,17 +27,15 @@
 //! 4. route the batch **serially** (views get an in-epoch queue-depth
 //!    bump per assignment, so feedback policies never dog-pile one shard
 //!    within an epoch) and inject each request into its shard;
-//! 5. advance every shard to the barrier in parallel via
-//!    [`amrm_core::fanout::for_each_cell`], draining each worker's
-//!    instrument counters ([`instrument::take`]) and merging them back
-//!    serially — the reset → run → snapshot profiling convention keeps
-//!    working for federated runs.
+//! 5. advance every shard, in index order, to the barrier.
 //!
-//! Between barriers the shards share nothing, the routing runs on one
-//! thread, and the counter merge is index-ordered — so the outcome is
-//! bit-identical across `threads` values, and a 1-shard federation under
-//! `RoundRobin` is bit-identical to the plain kernel (pinned by
-//! `tests/federation_equivalence.rs`).
+//! Everything runs on the dispatcher's thread: between barriers the
+//! shards share nothing, and routing, stealing and shard advances happen
+//! in one fixed order, so the outcome is deterministic per seed, and a
+//! 1-shard federation under `RoundRobin` is bit-identical to the plain
+//! kernel (pinned by `tests/federation_equivalence.rs`). The shards'
+//! instrument counters accumulate on that thread too, so the reset → run
+//! → snapshot profiling convention covers federated runs unchanged.
 //!
 //! # Examples
 //!
@@ -64,28 +62,21 @@
 //! assert_eq!(outcome.shards.len(), 2);
 //! ```
 
-use std::sync::Mutex;
-
-use amrm_core::fanout::for_each_cell;
 use amrm_core::{AdmissionPolicy, RouteRequest, RoutingPolicy, Scheduler, ShardView};
 use amrm_metrics::journal::{EventKind, JournalEvent};
-use amrm_metrics::{instrument, Journal, TraceSink};
+use amrm_metrics::{Journal, TraceSink};
 use amrm_workload::ScenarioRequest;
 
 use crate::{SimOutcome, Simulation};
 
-/// Dispatcher tuning knobs. The defaults favour weak-scaling throughput:
-/// coarse epochs amortize the per-epoch fan-out threads.
+/// Dispatcher tuning knobs.
 #[derive(Debug, Clone)]
 pub struct FederationConfig {
-    /// Worker threads for the parallel shard advance (1 = fully serial,
-    /// same results bit for bit).
-    pub threads: usize,
-    /// Arrivals routed per lockstep epoch. Coarse epochs amortize thread
-    /// spawns; fine epochs (e.g. 8) give feedback policies fresher shard
-    /// views. Determinism never depends on it, but routed *destinations*
-    /// of feedback policies do — treat it as part of the experiment
-    /// configuration.
+    /// Arrivals routed per lockstep epoch. Coarse epochs refresh the
+    /// shard views less often; fine epochs (e.g. 8) give feedback
+    /// policies fresher ones. Determinism never depends on it, but
+    /// routed *destinations* of feedback policies do — treat it as part
+    /// of the experiment configuration.
     pub epoch: usize,
     /// Work-stealing trigger: at each barrier, while a shard's queue
     /// exceeds this threshold and another shard sits idle, one queued
@@ -96,7 +87,6 @@ pub struct FederationConfig {
 impl Default for FederationConfig {
     fn default() -> Self {
         FederationConfig {
-            threads: 1,
             epoch: 64,
             steal_threshold: None,
         }
@@ -169,22 +159,17 @@ impl FederationOutcome {
 /// with [`Simulation::open`]) and one [`RoutingPolicy`]. See the module
 /// docs for the lockstep protocol.
 pub struct Federation<S, A> {
-    shards: Vec<Mutex<Simulation<S, A>>>,
+    shards: Vec<Simulation<S, A>>,
     routing: Box<dyn RoutingPolicy + Send>,
     config: FederationConfig,
     /// The dispatcher's own journal sink (disabled by default). Shards
-    /// keep per-shard journals instead — cross-shard interleaving into
-    /// one ring would depend on thread timing.
+    /// keep per-shard journals instead (see [`Simulation::with_journal`]).
     trace: TraceSink,
 }
 
-impl<S, A> Federation<S, A>
-where
-    S: Scheduler + Send,
-    A: AdmissionPolicy + Send,
-{
+impl<S: Scheduler, A: AdmissionPolicy> Federation<S, A> {
     /// Builds a federation over `shards` with the default
-    /// [`FederationConfig`] (serial, epoch 64, no stealing).
+    /// [`FederationConfig`] (epoch 64, no stealing).
     ///
     /// # Panics
     ///
@@ -196,7 +181,7 @@ where
             panic!("invalid routing policy: {msg}");
         }
         Federation {
-            shards: shards.into_iter().map(Mutex::new).collect(),
+            shards,
             routing,
             config: FederationConfig::default(),
             trace: TraceSink::disabled(),
@@ -206,7 +191,6 @@ where
     /// Builder-style dispatcher configuration.
     #[must_use]
     pub fn with_config(mut self, config: FederationConfig) -> Self {
-        assert!(config.threads > 0, "need at least one worker thread");
         assert!(config.epoch > 0, "epochs must route at least one arrival");
         self.config = config;
         self
@@ -214,9 +198,8 @@ where
 
     /// Attaches a journal sink to the *dispatcher*: epoch barriers,
     /// per-request routing verdicts (policy target and the queue depth
-    /// seen) and steals are journaled on the routing thread, so the
-    /// record is deterministic regardless of worker-thread count. Give
-    /// each shard its own journal via [`Simulation::with_journal`].
+    /// seen) and steals are journaled in dispatch order. Give each shard
+    /// its own journal via [`Simulation::with_journal`].
     #[must_use]
     pub fn with_trace(mut self, trace: TraceSink) -> Self {
         self.trace = trace;
@@ -271,8 +254,6 @@ where
             }
             pending = stream.next();
 
-            // Barrier bookkeeping runs serially on the dispatcher thread,
-            // so feedback routing and stealing are deterministic.
             let stealing = self.config.steal_threshold.is_some();
             if needs_feedback || stealing {
                 self.refresh_views(&mut views);
@@ -307,7 +288,7 @@ where
                 }
                 views[target].queue_depth += 1;
                 routed[target] += 1;
-                self.shard(target).inject_request(req);
+                self.shards[target].inject_request(req);
             }
 
             if let Some(next) = &pending {
@@ -319,23 +300,29 @@ where
                             .value(epoch_arrivals as f64),
                     );
                 }
-                self.advance_all(|shard| shard.advance_until(barrier));
+                for shard in &mut self.shards {
+                    shard.advance_until(barrier);
+                }
                 advanced_to = barrier;
             }
             epoch_ordinal = epoch_ordinal.wrapping_add(1);
         }
 
         // Stream over: drain in-flight arrivals and flush deferred
-        // leftovers at the global last-arrival instant, then let each
-        // shard run to quiescence — both phases fan out like the epochs.
-        for shard in &self.shards {
-            shard.lock().expect("shard lock poisoned").close_stream();
-        }
-        self.advance_all(|shard| shard.finalize(last_arrival));
-        let outcomes = self.advance_all(Simulation::finish);
+        // leftovers at the global last-arrival instant, then run each
+        // shard to quiescence.
+        let shards = self
+            .shards
+            .into_iter()
+            .map(|mut shard| {
+                shard.close_stream();
+                shard.finalize(last_arrival);
+                shard.run()
+            })
+            .collect();
 
         FederationOutcome {
-            shards: outcomes,
+            shards,
             routed,
             stolen,
             routing: self.routing.label(),
@@ -343,37 +330,10 @@ where
         }
     }
 
-    fn shard(&self, index: usize) -> std::sync::MutexGuard<'_, Simulation<S, A>> {
-        self.shards[index].lock().expect("shard lock poisoned")
-    }
-
-    /// Runs `step` on every shard via the fan-out pool and serially
-    /// merges each worker's drained instrument counters into the
-    /// dispatcher thread's, preserving the federation-wide totals (the
-    /// serial degenerate path drains and re-merges the dispatcher's own
-    /// counters — a no-op sum).
-    fn advance_all<T: Send>(&self, step: impl Fn(&mut Simulation<S, A>) -> T + Sync) -> Vec<T> {
-        // Capture the shard slice alone: the routing box is Send-only,
-        // and the workers never touch it.
-        let shards = &self.shards;
-        let results = for_each_cell(shards.len(), self.config.threads, |i| {
-            let mut shard = shards[i].lock().expect("shard lock poisoned");
-            let out = step(&mut shard);
-            (out, instrument::take())
-        });
-        results
-            .into_iter()
-            .map(|(out, counters)| {
-                instrument::merge(&counters);
-                out
-            })
-            .collect()
-    }
-
     /// Refreshes the per-shard routing views at a barrier.
     fn refresh_views(&self, views: &mut [ShardView]) {
         for (i, view) in views.iter_mut().enumerate() {
-            *view = self.shard(i).shard_view(i);
+            *view = self.shards[i].shard_view(i);
         }
     }
 
@@ -405,7 +365,7 @@ where
                 else {
                     break;
                 };
-                let Some(req) = self.shard(victim).steal_queued() else {
+                let Some(req) = self.shards[victim].steal_queued() else {
                     break;
                 };
                 if self.trace.is_enabled() {
@@ -421,7 +381,7 @@ where
                 routed[victim] -= 1;
                 routed[thief] += 1;
                 moved += 1;
-                self.shard(thief).inject_request(ScenarioRequest {
+                self.shards[thief].inject_request(ScenarioRequest {
                     arrival: barrier,
                     ..req
                 });
@@ -434,10 +394,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amrm_core::{
-        BatchK, EnergyAware, HashAffinity, Immediate, JoinShortestQueue, MmkpMdf,
-        ReactivationPolicy, RoundRobin,
-    };
+    use amrm_core::{BatchK, HashAffinity, Immediate, MmkpMdf, ReactivationPolicy, RoundRobin};
+    use amrm_metrics::instrument;
     use amrm_model::AppRef;
     use amrm_workload::{scenarios, ArrivalStream, StreamSpec};
 
@@ -504,43 +462,23 @@ mod tests {
     }
 
     #[test]
-    fn outcome_is_identical_across_thread_counts() {
-        for routing in [
-            Box::new(JoinShortestQueue::new()) as Box<dyn RoutingPolicy + Send>,
-            Box::new(EnergyAware::new()),
-        ] {
+    fn counters_total_every_shard() {
+        // The shards advance on the calling thread, so its instrument
+        // counters see every shard's flushes and scheduler activations,
+        // at the epoch barriers (epoch 8 of 60 arrivals) and in the tail.
+        for routing in amrm_core::routing::standard_policies() {
             let label = routing.label();
-            let serial = Federation::new(open_shards(4), routing)
+            let _ = instrument::take();
+            let outcome = Federation::new(open_shards(3), routing)
                 .with_config(FederationConfig {
-                    threads: 1,
-                    epoch: 16,
+                    epoch: 8,
                     steal_threshold: None,
                 })
-                .run(stream(120, 17));
-            let rebuilt: Box<dyn RoutingPolicy + Send> = if label == "JSQ" {
-                Box::new(JoinShortestQueue::new())
-            } else {
-                Box::new(EnergyAware::new())
-            };
-            let parallel = Federation::new(open_shards(4), rebuilt)
-                .with_config(FederationConfig {
-                    threads: 4,
-                    epoch: 16,
-                    steal_threshold: None,
-                })
-                .run(stream(120, 17));
-            assert_eq!(serial.routed, parallel.routed, "{label}");
-            assert_eq!(serial.stolen, parallel.stolen, "{label}");
-            for (a, b) in serial.shards.iter().zip(&parallel.shards) {
-                assert_eq!(a.admissions, b.admissions, "{label}");
-                assert_eq!(
-                    a.total_energy.to_bits(),
-                    b.total_energy.to_bits(),
-                    "{label}"
-                );
-                assert_eq!(a.end_time.to_bits(), b.end_time.to_bits(), "{label}");
-                assert_eq!(a.stats, b.stats, "{label}");
-            }
+                .run(stream(60, 13));
+            let counters = instrument::take();
+            let activations: usize = outcome.shards.iter().map(|s| s.stats.activations).sum();
+            assert_eq!(counters.flushes, outcome.offered() as u64, "{label}");
+            assert_eq!(counters.schedule_calls, activations as u64, "{label}");
         }
     }
 
@@ -566,7 +504,6 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         let config = |steal| FederationConfig {
-            threads: 1,
             epoch: 6,
             steal_threshold: steal,
         };

@@ -163,7 +163,8 @@ pub struct Simulation<S, A> {
     telemetry: Telemetry,
     /// The lazy arrival source; pulled one request ahead of the event
     /// loop so the heap never holds more than one pending arrival. `Send`
-    /// so a federation shard can migrate between fan-out worker threads.
+    /// keeps the whole simulation `Send`, so one thread can build it and
+    /// another run it.
     source: Box<dyn Iterator<Item = ScenarioRequest> + Send>,
     /// Requests pulled from the source so far, in arrival order.
     requests: Vec<ScenarioRequest>,
@@ -419,8 +420,7 @@ impl<S: Scheduler, A: AdmissionPolicy> Simulation<S, A> {
     /// [`advance_until`](Simulation::advance_until). Once the dispatcher
     /// has [`close_stream`](Simulation::close_stream)ed and
     /// [`finalize`](Simulation::finalize)d the shard,
-    /// [`finish`](Simulation::finish) drains the tail exactly like
-    /// [`run`](Simulation::run) would.
+    /// [`run`](Simulation::run) drains the tail and builds its outcome.
     ///
     /// Injecting the whole stream in arrival order reproduces a
     /// [`Simulation::from_stream`] run bit for bit: same-instant events
@@ -480,15 +480,6 @@ impl<S: Scheduler, A: AdmissionPolicy> Simulation<S, A> {
     /// the way stateful algorithm internals (META's regime switch count,
     /// EX-MEM's memo statistics) are inspected after a run.
     pub fn run_with_scheduler(mut self) -> (SimOutcome, S) {
-        let outcome = self.finish();
-        (outcome, self.rm.into_scheduler())
-    }
-
-    /// Drains every remaining event, lets the admitted jobs finish and
-    /// builds the outcome in place — the tail shared by
-    /// [`run`](Simulation::run) and the federation (which holds shards in
-    /// mutexes and cannot consume them by value on worker threads).
-    pub(crate) fn finish(&mut self) -> SimOutcome {
         while let Some(event) = self.events.pop() {
             self.handle(event);
         }
@@ -512,13 +503,12 @@ impl<S: Scheduler, A: AdmissionPolicy> Simulation<S, A> {
         let admissions = if self.aggregate {
             Vec::new()
         } else {
-            let decisions = std::mem::take(&mut self.decisions);
             debug_assert_eq!(
-                decisions.iter().filter(|d| d.is_none()).count(),
+                self.decisions.iter().filter(|d| d.is_none()).count(),
                 self.stolen,
                 "the undecided slots must be exactly the stolen ones"
             );
-            decisions.into_iter().flatten().collect()
+            self.decisions.into_iter().flatten().collect()
         };
         let journal = self.journal.snapshot();
         // Test-mode invariant: every sampled request this kernel
@@ -527,10 +517,10 @@ impl<S: Scheduler, A: AdmissionPolicy> Simulation<S, A> {
         #[cfg(debug_assertions)]
         if let Some(journal) = &journal {
             if let Err(msg) = journal.validate_lifecycles() {
-                panic!("journal lifecycle invariant violated at finish: {msg}");
+                panic!("journal lifecycle invariant violated at run end: {msg}");
             }
         }
-        SimOutcome {
+        let outcome = SimOutcome {
             admissions,
             offered: self.offered,
             accepted_total: self.accepted_total,
@@ -538,13 +528,14 @@ impl<S: Scheduler, A: AdmissionPolicy> Simulation<S, A> {
             end_time: self.rm.now(),
             stats: self.rm.stats(),
             trace: self.rm.executed_trace(),
-            admitted_jobs: JobSet::new(std::mem::take(&mut self.admitted)),
+            admitted_jobs: JobSet::new(self.admitted),
             queue_deadline_drops: self.queue_deadline_drops,
             stolen: self.stolen,
-            peak_live_requests: self.peak_live_requests(),
+            peak_live_requests: self.peak_live,
             telemetry: self.telemetry.summary(),
             journal,
-        }
+        };
+        (outcome, self.rm.into_scheduler())
     }
 
     /// High-water mark of simultaneously tracked request slots. In
@@ -1105,7 +1096,7 @@ impl<S: Scheduler, A: AdmissionPolicy> Simulation<S, A> {
     /// Emits `completion` events for sampled admitted jobs the engine
     /// has retired since the last sweep. Called (journal-gated) after
     /// every clock advance; the tail after the last event is drained in
-    /// [`finish`](Simulation::finish).
+    /// [`run_with_scheduler`](Simulation::run_with_scheduler).
     fn sweep_completed_journal(&mut self) {
         if self.journal_live.is_empty() {
             return;

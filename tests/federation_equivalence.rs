@@ -10,8 +10,9 @@
 //! dispatcher tier itself distorts results, and no cross-policy
 //! comparison it produces can be trusted.
 //!
-//! The second gate is determinism: the dispatcher fans shards out over a
-//! worker pool, so the merged outcome must not depend on the pool width.
+//! The second gate is determinism: under every routing policy, rerunning
+//! a multi-shard federation at the same seed must reproduce every
+//! shard's outcome bit for bit.
 
 use amrm::baselines::standard_registry;
 use amrm::core::{
@@ -52,7 +53,6 @@ fn one_shard_federation(
     name: &str,
     stream: impl Iterator<Item = ScenarioRequest>,
     epoch: usize,
-    threads: usize,
 ) -> FederationOutcome {
     let registry = standard_registry();
     let shard: Simulation<Box<dyn Scheduler + Send>, Immediate> = Simulation::open(
@@ -64,7 +64,6 @@ fn one_shard_federation(
     .with_search_budget(SearchBudget::online());
     Federation::new(vec![shard], Box::new(RoundRobin::new()))
         .with_config(FederationConfig {
-            threads,
             epoch,
             steal_threshold: None,
         })
@@ -91,7 +90,7 @@ fn one_shard_federation_is_bit_identical_for_every_registry_scheduler() {
         let stream: Vec<ScenarioRequest> = diurnal(50, seed).collect();
         for (name, _) in registry.iter() {
             let reference = plain_outcome(name, &stream);
-            let federated = one_shard_federation(name, diurnal(50, seed), 64, 1);
+            let federated = one_shard_federation(name, diurnal(50, seed), 64);
             assert_eq!(federated.offered(), 50);
             assert_eq!(federated.routed, vec![50]);
             assert_bit_identical(
@@ -104,7 +103,7 @@ fn one_shard_federation_is_bit_identical_for_every_registry_scheduler() {
 }
 
 #[test]
-fn merged_outcome_does_not_depend_on_dispatcher_pool_width() {
+fn multi_shard_federation_reruns_bit_identically() {
     let registry = standard_registry();
     let policies: Vec<fn() -> Box<dyn RoutingPolicy + Send>> = vec![
         || Box::new(RoundRobin::new()),
@@ -113,7 +112,7 @@ fn merged_outcome_does_not_depend_on_dispatcher_pool_width() {
         || Box::new(HashAffinity::new()),
     ];
     for make_policy in policies {
-        let run = |threads: usize| {
+        let run = || {
             let shards: Vec<Simulation<Box<dyn Scheduler + Send>, Immediate>> = (0..4)
                 .map(|_| {
                     Simulation::open(
@@ -125,19 +124,14 @@ fn merged_outcome_does_not_depend_on_dispatcher_pool_width() {
                     .with_search_budget(SearchBudget::online())
                 })
                 .collect();
-            Federation::new(shards, make_policy())
-                .with_config(FederationConfig {
-                    threads,
-                    ..FederationConfig::default()
-                })
-                .run(diurnal(80, 23))
+            Federation::new(shards, make_policy()).run(diurnal(80, 23))
         };
-        let serial = run(1);
-        let pooled = run(4);
-        assert_eq!(serial.routed, pooled.routed, "{}", serial.routing);
-        assert_eq!(serial.stolen, pooled.stolen, "{}", serial.routing);
-        for (idx, (a, b)) in serial.shards.iter().zip(&pooled.shards).enumerate() {
-            assert_bit_identical(&format!("{} shard {idx}", serial.routing), a, b);
+        let first = run();
+        let rerun = run();
+        assert_eq!(first.routed, rerun.routed, "{}", first.routing);
+        assert_eq!(first.stolen, rerun.stolen, "{}", first.routing);
+        for (idx, (a, b)) in first.shards.iter().zip(&rerun.shards).enumerate() {
+            assert_bit_identical(&format!("{} shard {idx}", first.routing), a, b);
         }
     }
 }
@@ -159,7 +153,6 @@ proptest! {
             amrm::baselines::MDF_NAME,
             stream.iter().cloned(),
             epoch,
-            1,
         );
         assert_eq!(federated.offered(), requests);
         assert_bit_identical(
