@@ -1,6 +1,6 @@
 //! The equivalence gate for the anytime EX-MEM refactor.
 //!
-//! Two claims are pinned:
+//! Three claims are pinned:
 //!
 //! 1. **Unbounded is exact and unchanged.** With an unbounded
 //!    [`SearchBudget`] the memo-reusing EX-MEM is bit-identical — across
@@ -13,14 +13,21 @@
 //!    exhaustive search can finish online, is reproducible bit for bit,
 //!    never misses a deadline, and never does worse than the MMKP-MDF
 //!    incumbent it degrades to.
+//! 3. **The online search is pinned at stream scale.** On a seeded
+//!    300-request stream over the odroid benchmark suite, the summed work
+//!    units, rank-pruned candidates and degraded activations, the final
+//!    memo size, the accepted count and the energy bits are fixed literals:
+//!    a digest that does not depend on the host.
 
 use amrm::baselines::ExMem;
 use amrm::core::{
     Immediate, MmkpMdf, ReactivationPolicy, Scheduler, SchedulingContext, SearchBudget,
 };
-use amrm::model::AppRef;
+use amrm::dataflow::apps::benchmark_suite;
+use amrm::model::{AppRef, JobSet, Schedule};
+use amrm::platform::Platform;
 use amrm::sim::{run_scenario, SimOutcome, Simulation};
-use amrm::workload::{bursty_window_stream, poisson_stream, scenarios, StreamSpec};
+use amrm::workload::{bursty_window_stream, poisson_stream, scenarios, ArrivalStream, StreamSpec};
 use proptest::prelude::*;
 
 fn library() -> Vec<AppRef> {
@@ -218,4 +225,71 @@ fn budgeted_exmem_matches_mdf_acceptance_or_better_on_a_seeded_stream() {
         budgeted.accepted(),
         mdf.accepted()
     );
+}
+
+/// Forwards to EX-MEM and sums its per-activation work counters.
+struct Tally {
+    inner: ExMem,
+    work: u64,
+    rank_pruned: u64,
+    degraded: u64,
+}
+
+impl Scheduler for Tally {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn schedule(
+        &mut self,
+        jobs: &JobSet,
+        platform: &Platform,
+        ctx: &SchedulingContext,
+    ) -> Option<Schedule> {
+        let schedule = self.inner.schedule(jobs, platform, ctx);
+        self.work += self.inner.nodes_explored();
+        self.rank_pruned += self.inner.last_rank_pruned();
+        self.degraded += u64::from(self.inner.last_degraded());
+        schedule
+    }
+}
+
+#[test]
+fn online_exmem_work_is_pinned_on_a_seeded_stream() {
+    // The benchmark's exmem-poisson stream shape, under the online budget
+    // and its rank cap. Any change to what the search visits, charges,
+    // prunes or memoizes moves one of these numbers.
+    let platform = Platform::odroid_xu4();
+    let spec = StreamSpec {
+        requests: 300,
+        slack_range: (1.5, 3.0),
+    };
+    let stream = ArrivalStream::poisson(&benchmark_suite(&platform), 2.0, &spec, 2020);
+    let tally = Tally {
+        inner: ExMem::new(),
+        work: 0,
+        rank_pruned: 0,
+        degraded: 0,
+    };
+    let (outcome, tally) = Simulation::from_stream(
+        platform,
+        tally,
+        ReactivationPolicy::OnArrival,
+        Immediate,
+        stream,
+    )
+    .with_search_budget(SearchBudget::online())
+    .aggregated()
+    .run_with_scheduler();
+    let digest = (
+        tally.work,
+        tally.rank_pruned,
+        tally.degraded,
+        tally.inner.memo_len(),
+        outcome.accepted(),
+        outcome.total_energy.to_bits(),
+    );
+    // Total energy 2,310.48 J.
+    let pinned = (2_068_465, 12_769, 177, 16_533, 204, 0x40a2_0cf8_4ad2_0a3e);
+    assert_eq!(digest, pinned, "EX-MEM's online search moved");
 }
